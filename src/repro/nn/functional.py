@@ -1,9 +1,28 @@
 """Functional neural-network operations on :class:`~repro.nn.tensor.Tensor`.
 
 These free functions implement the forward/backward math used by the layer
-classes in :mod:`repro.nn.layers`.  Convolution and pooling use an im2col
-lowering so that the heavy lifting is a single BLAS matmul, which keeps CPU
-training of the paper's small models tractable.
+classes in :mod:`repro.nn.layers`.
+
+Convolution kernels
+-------------------
+:func:`conv2d` lowers its input to a patch matrix, one row per output pixel
+and one column per ``(channel, kH, kW)`` weight, with a single strided copy.
+It then makes exactly the matmul calls that
+``np.einsum(..., optimize=True)`` makes for the three convolution
+contractions, with the same operand layouts:
+
+* forward: ``patches (N*P, K) @ W.T``, viewed back as NCHW;
+* weight gradient: ``ascontiguousarray(patches.T) (K, N*P) @ grad (N*P, O)``;
+* input gradient: ``grad (N*P, O) @ W``, scattered back by :func:`col2im`.
+
+The calls are matched, not only the contraction, because BLAS rounding
+depends on operand shape and layout: a different but algebraically equal
+GEMM changes trained weights in the last bits.  Matching them keeps the
+bytes of every seeded result, and it is also what makes trial batching
+exact (below).  :func:`max_pool2d` over non-overlapping windows that tile
+a non-negative input (every max pool after a ReLU) works on reshape views
+with ``np.maximum``; other inputs use :func:`im2col` with ``argmax``.  Both
+pick the element ``argmax`` picks.
 
 Trial batching
 --------------
@@ -13,12 +32,15 @@ independently drifted copies of the weights.  Inside a
 :func:`conv2d`, and the normalisation layers' affine step) accept
 parameters stacked along a leading trial axis — ``(T, out, in)`` instead
 of ``(out, in)`` — and an input batch tiled trial-major to ``T * N``
-samples.  Everything *per-sample* (activations, pooling, im2col, softmax,
-per-sample normalisation statistics) runs once over the whole ``T * N``
-batch, amortising numpy dispatch and Python loop overhead; the GEMMs
-themselves stay per-trial with exactly the operand shapes, strides and
-values of the unbatched path, so a trial-batched forward is **bit-identical**
-to ``T`` separate forwards.  That equality is what lets the drift-sweep
+samples.  Everything *per-sample* (activations, pooling, the patch matrix,
+softmax, per-sample normalisation statistics) runs once over the whole
+``T * N`` batch, amortising numpy dispatch; the GEMMs themselves stay
+per-trial.  Each trial's block of patch rows is exactly the unbatched
+operand, and a stacked ``np.matmul`` runs the same GEMM on it that the
+unbatched path runs, so a trial-batched forward is **bit-identical** to
+``T`` separate forwards.  A first convolution sees the same batch ``T``
+times over; it lowers that batch once and all ``T`` GEMMs read the one
+patch matrix.  That equality is what lets the drift-sweep
 engine treat ``trial_batch`` as a pure scheduling knob (see
 :mod:`repro.inference`).
 """
@@ -29,6 +51,7 @@ import contextlib
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
 
 from .tensor import Tensor, is_grad_enabled
@@ -213,33 +236,65 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# im2col convolution lowering
+# Strided patch lowering
 # --------------------------------------------------------------------------- #
+def _windows(data: np.ndarray, kernel_h: int, kernel_w: int,
+             stride: int, padding: int) -> np.ndarray:
+    """Every sliding window of an NCHW array as one read-only strided view.
+
+    Returns a ``(N, C, out_h, out_w, kernel_h, kernel_w)`` view; nothing is
+    copied except the zero-padded input when ``padding > 0``.
+    """
+    if padding > 0:
+        n, c, h, w = data.shape
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        padded[:, :, padding:-padding, padding:-padding] = data
+        data = padded
+    n, c, h, w = data.shape
+    out_h = (h - kernel_h) // stride + 1
+    out_w = (w - kernel_w) // stride + 1
+    step_n, step_c, step_h, step_w = data.strides
+    return as_strided(data, (n, c, out_h, out_w, kernel_h, kernel_w),
+                      (step_n, step_c, step_h * stride, step_w * stride,
+                       step_h, step_w), writeable=False)
+
+
 def im2col(data: np.ndarray, kernel_h: int, kernel_w: int,
            stride: int, padding: int) -> tuple[np.ndarray, int, int]:
-    """Lower an NCHW array into column form for convolution.
+    """Lower an NCHW array into column form.
 
     Returns ``(columns, out_h, out_w)`` where ``columns`` has shape
-    ``(N, C * kernel_h * kernel_w, out_h * out_w)``.
+    ``(N, C * kernel_h * kernel_w, out_h * out_w)``, built by one strided copy.
     """
-    n, c, h, w = data.shape
-    out_h = (h + 2 * padding - kernel_h) // stride + 1
-    out_w = (w + 2 * padding - kernel_w) // stride + 1
-    if padding > 0:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    columns = np.empty((n, c, kernel_h, kernel_w, out_h, out_w))
-    for i in range(kernel_h):
-        i_end = i + stride * out_h
-        for j in range(kernel_w):
-            j_end = j + stride * out_w
-            columns[:, :, i, j, :, :] = data[:, :, i:i_end:stride, j:j_end:stride]
+    windows = _windows(data, kernel_h, kernel_w, stride, padding)
+    n, c, out_h, out_w = windows.shape[:4]
+    columns = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return columns.reshape(n, c * kernel_h * kernel_w, out_h * out_w), out_h, out_w
+
+
+def _patches(data: np.ndarray, kernel_h: int, kernel_w: int,
+             stride: int, padding: int) -> tuple[np.ndarray, int, int]:
+    """Convolution patch matrix: one row per output pixel.
+
+    Returns ``(patches, out_h, out_w)`` where ``patches`` is the C-contiguous
+    ``(N * out_h * out_w, C * kernel_h * kernel_w)`` matrix, built by one
+    strided copy.  It is exactly the left operand that
+    ``einsum("ok,nkp->nop", w, im2col(...), optimize=True)`` hands to its
+    matmul, so the GEMMs below are the ones einsum would have run.
+    """
+    windows = _windows(data, kernel_h, kernel_w, stride, padding)
+    n, c, out_h, out_w = windows.shape[:4]
+    patches = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    return patches.reshape(n * out_h * out_w, -1), out_h, out_w
 
 
 def col2im(columns: np.ndarray, input_shape: tuple, kernel_h: int, kernel_w: int,
            stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Inverse of :func:`im2col`: scatter-add columns back to NCHW.
+
+    Windows are added in ``(i, j)`` kernel order, which fixes the summation
+    order where windows overlap.
+    """
     n, c, h, w = input_shape
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     columns = columns.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
@@ -259,8 +314,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     ``weight`` has shape ``(out_channels, in_channels, kH, kW)``; inside a
     :func:`trial_batching` context it may carry a leading trial axis (the
-    shared im2col lowering runs once over the tiled batch, the contraction
-    per trial — bit-identical to separate per-trial convolutions).
+    patch matrix is built once over the tiled batch, the GEMM runs per
+    trial — bit-identical to separate per-trial convolutions).
     """
     if _TRIAL_COUNT > 1:
         return _trial_conv2d(x, weight, bias, stride, padding)
@@ -269,24 +324,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if c != in_channels:
         raise ValueError(f"conv2d: input has {c} channels, weight expects {in_channels}")
 
-    columns, out_h, out_w = im2col(x.data, kernel_h, kernel_w, stride, padding)
+    patches, out_h, out_w = _patches(x.data, kernel_h, kernel_w, stride, padding)
     weight_matrix = weight.data.reshape(out_channels, -1)
-    out_data = np.einsum("ok,nkp->nop", weight_matrix, columns, optimize=True)
-    out_data = out_data.reshape(n, out_channels, out_h, out_w)
+    # (N*P, K) @ (K, O), viewed back as NCHW without a copy.
+    out_data = (patches @ weight_matrix.T).reshape(
+        n, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+        out_data += bias.data.reshape(1, -1, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_matrix = grad.reshape(n, out_channels, out_h * out_w)
+        # (N*P, O): one row per output pixel, like the patch matrix.
+        grad_rows = np.ascontiguousarray(
+            grad.reshape(n, out_channels, -1).transpose(0, 2, 1)).reshape(-1, out_channels)
         if weight.requires_grad:
-            grad_weight = np.einsum("nop,nkp->ok", grad_matrix, columns, optimize=True)
-            weight._accumulate(grad_weight.reshape(weight.shape))
+            # (K, N*P) @ (N*P, O) on a contiguous copy of the transposed
+            # patches, as einsum("nop,nkp->ok") computes it.
+            grad_weight = np.ascontiguousarray(patches.T) @ grad_rows
+            weight._accumulate(grad_weight.T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_columns = np.einsum("ok,nop->nkp", weight_matrix, grad_matrix, optimize=True)
+            grad_patches = grad_rows @ weight_matrix
+            grad_columns = grad_patches.reshape(n, out_h * out_w, -1).transpose(0, 2, 1)
             grad_input = col2im(grad_columns, (n, c, h, w), kernel_h, kernel_w,
                                 stride, padding, out_h, out_w)
             x._accumulate(grad_input)
@@ -304,43 +365,57 @@ def _trial_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if x.data.shape[1] != in_channels:
         raise ValueError(f"conv2d: input has {x.data.shape[1]} channels, "
                          f"weight expects {in_channels}")
-    # One im2col over the whole tiled batch (the Python copy loop is the
-    # per-sample overhead worth amortising); the contraction stays per trial
-    # so its GEMM operands match the unbatched path exactly.
-    columns, out_h, out_w = im2col(x.data, kernel_h, kernel_w, stride, padding)
+    # One patch matrix over the whole tiled batch; each trial's block of
+    # rows is exactly the unbatched operand, and its GEMM stays per trial.
+    # The first convolution of a batched forward sees the same batch T times
+    # over: then one batch is lowered and every trial's GEMM reads it.
+    data = x.data
+    first = data[:rows]
+    shared = (np.array_equal(data[rows:2 * rows], first)
+              and (data.reshape((trials,) + first.shape) == first).all())
+    patches, out_h, out_w = _patches(first if shared else data,
+                                     kernel_h, kernel_w, stride, padding)
+    pixels = rows * out_h * out_w
+    if shared:
+        grouped = np.broadcast_to(patches, (trials,) + patches.shape)
+    else:
+        grouped = patches.reshape(trials, pixels, -1)
     biases = None if bias is None else bias.data
     if stacked:
-        # One batched einsum: the t axis rides along as a batch dimension,
-        # so each trial's contraction is the same "ok,nkp->nop" as the
-        # unbatched path and the output stays bit-identical.
-        grouped = columns.reshape((trials, rows) + columns.shape[1:])
+        # A stacked matmul runs the T per-trial GEMMs in one C-level call;
+        # each slice is the unbatched `patches @ w.T`.
         weight_matrix = weights.reshape(trials, out_channels, -1)
-        out = np.einsum("tok,tnkp->tnop", weight_matrix, grouped,
-                        optimize=True)
+        out = np.matmul(grouped, weight_matrix.transpose(0, 2, 1))
+        out = out.reshape(trials, rows, out_h * out_w, out_channels).transpose(0, 1, 3, 2)
         if biases is not None:
             if biases.ndim == 2:
-                out = out + biases[:, None, :, None]
+                out += biases[:, None, :, None]
             else:
-                out = out + biases[None, None, :, None]
+                out += biases[None, None, :, None]
         return Tensor(out.reshape(trials * rows, out_channels, out_h, out_w))
     weight_matrix = weights.reshape(out_channels, -1)
     blocks = []
     for index in range(trials):
-        block = np.einsum("ok,nkp->nop", weight_matrix,
-                          columns[index * rows:(index + 1) * rows],
-                          optimize=True)
-        block = block.reshape(rows, out_channels, out_h, out_w)
+        block = grouped[index] @ weight_matrix.T
+        block = block.reshape(rows, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
         if biases is not None:
             b = biases[index] if biases.ndim == 2 else biases
-            block = block + b.reshape(1, -1, 1, 1)
+            block += b.reshape(1, -1, 1, 1)
         blocks.append(block)
     return Tensor(np.concatenate(blocks, axis=0))
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Max pooling over an NCHW tensor with square windows."""
+    """Max pooling over an NCHW tensor with square windows.
+
+    Follows ``argmax`` semantics: on ties the first window element wins, and
+    a NaN propagates to the output and takes the gradient (the first NaN).
+    """
     stride = stride or kernel_size
     n, c, h, w = x.shape
+    if (stride == kernel_size and h % kernel_size == 0 and w % kernel_size == 0
+            and not np.signbit(x.data).any()):
+        return _tiled_max_pool2d(x, kernel_size)
     columns, out_h, out_w = im2col(x.data, kernel_size, kernel_size, stride, 0)
     columns = columns.reshape(n, c, kernel_size * kernel_size, out_h * out_w)
     argmax = columns.argmax(axis=2)
@@ -356,6 +431,47 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
         grad_cols = grad_cols.reshape(n, c * kernel_size * kernel_size, out_h * out_w)
         grad_input = col2im(grad_cols, (n, c, h, w), kernel_size, kernel_size,
                             stride, 0, out_h, out_w)
+        x._accumulate(grad_input)
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def _tiled_max_pool2d(x: Tensor, size: int) -> Tensor:
+    """Max pooling over non-overlapping ``size x size`` tiles that cover x.
+
+    Each window element is a reshape view of the input, so no window is
+    copied.  The input must have no sign bit set (every max pool in
+    :mod:`repro.models` follows a ReLU).  Then elements that tie are the
+    same bits, so ``np.maximum``, which keeps the first NaN, returns exactly
+    the element ``argmax`` picks; only a window holding both -0.0 and +0.0
+    could tell the two apart.  The backward gives the gradient to the first
+    view equal to the max, or to the first NaN, as ``argmax`` does.
+    """
+    n, c, h, w = x.shape
+    offsets = [(i, j) for i in range(size) for j in range(size)]
+    tiles = x.data.reshape(n, c, h // size, size, w // size, size)
+    views = [tiles[:, :, :, i, :, j] for i, j in offsets]
+    out_data = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out_data, view, out=out_data)
+
+    def backward(grad: np.ndarray) -> None:
+        if not x.requires_grad:
+            return
+        # Each window's first element equal to the max (or NaN) claims it.
+        unclaimed = np.ones(out_data.shape, dtype=bool)
+        claims = []
+        for view in views[:-1]:
+            claims.append(unclaimed & ((view == out_data) | np.isnan(view)))
+            unclaimed ^= claims[-1]
+        claims.append(unclaimed)
+        # Zero plus the gradient, as the general path's col2im adds it
+        # (which turns a -0.0 gradient into +0.0).
+        grad = grad + 0.0
+        grad_input = np.empty((n, c, h, w))
+        grad_tiles = grad_input.reshape(tiles.shape)
+        for (i, j), claim in zip(offsets, claims):
+            grad_tiles[:, :, :, i, :, j] = np.where(claim, grad, 0.0)
         x._accumulate(grad_input)
 
     return Tensor._make(out_data, (x,), backward)
