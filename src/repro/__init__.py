@@ -22,7 +22,16 @@ substrate:
 * :mod:`repro.scenarios` — declarative experiment cells, the fault-model and
   scenario registries, the on-disk result store and the ``python -m repro``
   CLI.
+
+Importing the package sets this process's glibc heap policy once
+(:mod:`repro.utils.heap`).
 """
+
+from .utils.heap import retain_freed_memory
+
+# Before anything else allocates: freed training buffers stay in the heap
+# for the next step (see repro.utils.heap).
+retain_freed_memory()
 
 from . import nn, models, fault, reram, bayesopt, core, baselines, data, evaluation
 from . import execution, telemetry, training, experiments, scenarios, utils

@@ -38,7 +38,7 @@ from ..telemetry import current
 from ..training.trainer import Trainer
 from ..utils.rng import get_rng
 from .objective import DriftMarginalizedObjective
-from .scheduler import AsyncTrialScheduler, _execute_search_trial
+from .scheduler import AsyncTrialScheduler, _execute_search_trial, train_span
 from .search_space import DropoutSearchSpace
 
 __all__ = ["BayesFTSearch", "BayesFTResult"]
@@ -248,7 +248,7 @@ class BayesFTSearch:
                 self.search_space.apply(alpha)
                 if not self.warm_start:
                     self.model.load_state_dict(initial_state)
-                with telemetry.span("train", epochs=self.epochs_per_trial):
+                with train_span(telemetry, self.epochs_per_trial):
                     self._train_weights()
                 # One engine run measures the drifted utility (Eq. 4) and
                 # the clean diagnostic together; the inference cache

@@ -34,10 +34,14 @@ trades search fidelity for wall-clock.
 
 from __future__ import annotations
 
+import resource
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..telemetry import Telemetry, current, using
 from ..training.trainer import Trainer
+from ..utils import heap
 from .search_space import DropoutSearchSpace
 
 __all__ = ["AsyncTrialScheduler"]
@@ -56,6 +60,25 @@ def _reseed_module_rngs(model, seed_seq: np.random.SeedSequence) -> None:
                if hasattr(module, "_rng")]
     for module, child in zip(bearers, seed_seq.spawn(len(bearers))):
         module._rng = np.random.default_rng(child)
+
+
+@contextmanager
+def train_span(telemetry, epochs: int):
+    """The ``train`` span of one trial, plus its heap cost when tracing.
+
+    A traced span records the process heap policy and adds the minor page
+    faults taken inside it to the ``train_page_faults`` counter.
+    """
+    if not telemetry.enabled:
+        yield
+        return
+    with telemetry.span("train", epochs=epochs, heap=heap.state,
+                        mallopt_ok=heap.mallopt_ok):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        yield
+        telemetry.add("train_page_faults",
+                      resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
 
 
 def _execute_search_trial(context: dict, payload: dict) -> dict:
@@ -103,7 +126,7 @@ def _search_trial_body(context: dict, payload: dict) -> dict:
                       optimizer=context["weight_optimizer"],
                       rng=np.random.default_rng(train_seq))
     telemetry = current()
-    with telemetry.span("train", epochs=context["epochs_per_trial"]):
+    with train_span(telemetry, context["epochs_per_trial"]):
         trainer.fit(context["train_dataset"],
                     epochs=context["epochs_per_trial"],
                     batch_size=context["batch_size"])

@@ -54,7 +54,11 @@ class Module:
         object.__setattr__(self, name, self._buffers[name])
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Update a previously registered buffer in place."""
+        """Rebind a previously registered buffer to ``value``.
+
+        The old array is not written to, and a float64 ``value`` is
+        installed without a copy (see :meth:`load_state_dict`).
+        """
         if name not in self._buffers:
             raise KeyError(f"buffer {name!r} was never registered")
         self._buffers[name] = np.asarray(value, dtype=np.float64)
@@ -125,7 +129,13 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict, prefix: str = "") -> None:
-        """Load arrays produced by :meth:`state_dict` back into the module."""
+        """Load arrays produced by :meth:`state_dict` back into the module.
+
+        float64 arrays are installed without a copy, so the module and the
+        caller share them until the next update.  Every update rebinds
+        (optimiser steps, :meth:`set_buffer`); an in-place update would
+        write through to the caller's ``state``.
+        """
         for name, parameter in self._parameters.items():
             key = prefix + name
             if key in state:

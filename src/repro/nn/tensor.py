@@ -172,6 +172,11 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
+            # The copy is load-bearing: it gives the stored gradient C
+            # layout (``grad`` may be a transposed or strided view), and the
+            # GEMMs that later read it produce different bytes for other
+            # layouts.  Keeping the view changes the PreAct-18 epoch golden;
+            # ``np.ascontiguousarray`` keeps the bytes but measured no faster.
             self.grad = grad.copy()
         else:
             self.grad = self.grad + grad

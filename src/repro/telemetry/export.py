@@ -14,8 +14,9 @@ round-trips exactly what :meth:`Telemetry.snapshot` produced.
 computes the report behind ``python -m repro trace summarize``: per-name
 cumulative and self time (self = cumulative minus direct children, i.e.
 time a layer spent that no deeper instrumented layer accounts for), cache
-hit rates, bytes shipped, and worker utilisation (busy-seconds shipped
-back from workers over the traced wall-clock).
+hit rates, bytes shipped, worker utilisation (busy-seconds shipped
+back from workers over the traced wall-clock), and the heap policy and
+page faults of the ``train`` spans.
 
 Trace files are volatile observability artifacts — nothing here feeds
 canonical reports, spec hashes or golden BO traces.
@@ -131,6 +132,7 @@ def summarize_trace(source) -> dict:
     gauges = dict(snapshot.get("metrics", {}).get("gauges", {}))
 
     by_name: dict[str, dict] = {}
+    heap_policies: set[str] = set()
     remote_busy = 0.0
     span_count = 0
     wall_end = 0.0
@@ -145,6 +147,12 @@ def summarize_trace(source) -> dict:
             row["seconds"] += seconds
             row["self_seconds"] += seconds - sum(
                 child.get("seconds", 0.0) for child in node.get("children", ()))
+            attrs = node.get("attrs", {})
+            if "heap" in attrs:  # a traced train span: the heap policy
+                policy = attrs["heap"]
+                if policy == "retained" and not attrs["mallopt_ok"]:
+                    policy += " (mallopt refused)"
+                heap_policies.add(policy)
         # Worker busy time: the roots a parent grafted are tagged remote;
         # count only the outermost remote span of each shipped task.
         for node in _walk(root):
@@ -174,6 +182,7 @@ def summarize_trace(source) -> dict:
         "worker_busy_seconds": round(remote_busy, 6),
         "worker_utilization": (round(remote_busy / (wall * workers), 6)
                                if wall > 0 and remote_busy > 0 else None),
+        "heap_policy": ", ".join(sorted(heap_policies)) or None,
     }
     return summary
 
@@ -216,6 +225,10 @@ def format_trace_summary(summary: dict, top: int = 12) -> str:
     if summary.get("worker_utilization") is not None:
         lines.append(f"worker busy        {summary['worker_busy_seconds']:.3f}s "
                      f"(utilization {100.0 * summary['worker_utilization']:.1f}%)")
+    if summary.get("heap_policy") is not None:
+        lines.append(f"heap               {summary['heap_policy']}, "
+                     f"{summary['counters'].get('train_page_faults', 0)} "
+                     "train page faults")
     fallbacks = [(name, value) for name, value in summary["counters"].items()
                  if name.endswith("fallbacks") and value]
     for name, value in fallbacks:

@@ -50,6 +50,28 @@ class TestModuleSystem:
         with pytest.raises(KeyError):
             layer.set_buffer("not_registered", np.zeros(3))
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_training_after_load_leaves_callers_state_unchanged(self, optimizer):
+        # load_state_dict installs the caller's arrays without copying, and
+        # BayesFT reloads one initial state before every trial: an in-place
+        # parameter or buffer update would corrupt every later trial.
+        model = nn.Sequential(nn.Linear(3, 4, rng=0), nn.BatchNorm1d(4),
+                              nn.ReLU(), nn.Linear(4, 2, rng=1))
+        state = model.state_dict()
+        expected = {name: array.copy() for name, array in state.items()}
+        model.load_state_dict(state)
+        parameters = list(model.parameters())
+        step = (nn.SGD(parameters, lr=0.1, momentum=0.9, weight_decay=0.01)
+                if optimizer == "sgd" else nn.Adam(parameters, lr=0.1))
+        x = Tensor(np.random.default_rng(2).normal(size=(8, 3)))
+        nn.cross_entropy(model(x), np.arange(8) % 2).backward()
+        step.step()
+        for name, array in state.items():
+            assert np.array_equal(array, expected[name]), name
+        trained = model.state_dict()
+        assert all(not np.array_equal(trained[name], expected[name])
+                   for name in ("0.weight", "1.running_mean"))
+
     def test_sequential_iteration_and_indexing(self):
         model = nn.Sequential(nn.ReLU(), nn.Tanh())
         assert len(model) == 2
