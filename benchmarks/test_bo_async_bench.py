@@ -73,37 +73,29 @@ def test_async_search_speedup():
     dataset = SyntheticMNIST(n_samples=512, image_size=16, rng=3)
     split = train_test_split(dataset, test_fraction=0.25, rng=3)
 
-    # Three arms per rep: serial backend, async over cold per-batch pools
-    # (the pre-runtime behaviour, kept for the historical speedup_median),
-    # and async over a warm leased pool shared across the whole bench —
-    # the shipping default since the warm execution runtime landed.
-    serial_seconds, cold_seconds, warm_seconds = [], [], []
-    cold_ratios, warm_ratios = [], []
+    # Two arms per rep: the serial backend, and async over the warm leased
+    # pool shared across the whole bench (the only fan-out path).
+    serial_seconds, warm_seconds, warm_ratios = [], [], []
     reference_json = None
     warm_runtime = ExecutionRuntime()
     try:
         for _ in range(REPS):
             elapsed, serial_result = _timed_run(split, search_workers=0)
             serial_seconds.append(elapsed)
-            with using_runtime(ExecutionRuntime(enabled=False)):
-                elapsed, cold_result = _timed_run(split, search_workers=WORKERS)
-            cold_seconds.append(elapsed)
             with using_runtime(warm_runtime):
                 elapsed, warm_result = _timed_run(split, search_workers=WORKERS)
             warm_seconds.append(elapsed)
 
-            # Ordered observation replay: the fan-out runs are byte-identical
+            # Ordered observation replay: the fan-out run is byte-identical
             # to the serial-backend run — any speedup is pure scheduling.
-            for async_result in (cold_result, warm_result):
-                assert async_result.to_json() == serial_result.to_json(), (
-                    "async search diverged from the serial-backend reference")
-                assert async_result.search_stats["used_backend"] == "process"
-                assert not async_result.search_stats["fell_back"]
+            assert warm_result.to_json() == serial_result.to_json(), (
+                "async search diverged from the serial-backend reference")
+            assert warm_result.search_stats["used_backend"] == "process"
+            assert not warm_result.search_stats["fell_back"]
             if reference_json is None:
                 reference_json = serial_result.to_json()
             else:  # the whole bench is one deterministic cell
                 assert serial_result.to_json() == reference_json
-            cold_ratios.append(serial_seconds[-1] / max(cold_seconds[-1], 1e-9))
             warm_ratios.append(serial_seconds[-1] / max(warm_seconds[-1], 1e-9))
         warm_counters = dict(warm_runtime.stats()["counters"])
     finally:
@@ -118,12 +110,10 @@ def test_async_search_speedup():
         "usable_cores": cores,
         "reps": REPS,
         "serial_seconds_median": round(statistics.median(serial_seconds), 4),
-        "async_seconds_median": round(statistics.median(cold_seconds), 4),
-        "speedup_median": round(statistics.median(cold_ratios), 3),
-        "speedup_min": round(min(cold_ratios), 3),
-        "speedup_max": round(max(cold_ratios), 3),
         "async_warm_seconds_median": round(statistics.median(warm_seconds), 4),
         "speedup_median_warm": round(statistics.median(warm_ratios), 3),
+        "speedup_min_warm": round(min(warm_ratios), 3),
+        "speedup_max_warm": round(max(warm_ratios), 3),
         "warm_pool_reuses": warm_counters.get("pool_reuses", 0),
         "speedup_asserted": cores >= WORKERS,
         "canonical_identical": True,
@@ -132,16 +122,12 @@ def test_async_search_speedup():
 
     print("\n=== async BO search bench (BENCH_bo.json) ===")
     print(f"lenet: {N_TRIALS} trials, q={BATCH}, k={WORKERS} — serial "
-          f"{summary['serial_seconds_median']:.2f}s, async cold "
-          f"{summary['async_seconds_median']:.2f}s "
-          f"({summary['speedup_median']:.2f}x), async warm "
+          f"{summary['serial_seconds_median']:.2f}s, async warm "
           f"{summary['async_warm_seconds_median']:.2f}s "
           f"({summary['speedup_median_warm']:.2f}x, "
           f"{summary['warm_pool_reuses']} pool reuses) on {cores} cores")
 
     # The wall-clock claim needs real cores; CI containers often have 1-2.
-    # The warm leased pool is the shipping default, so that is the arm held
-    # to the floor.
     if cores >= WORKERS:
         assert summary["speedup_median_warm"] >= 1.5, (
             f"warm async search delivered {summary['speedup_median_warm']:.2f}x "

@@ -155,7 +155,7 @@ class BayesFTSearch:
     search_backend:
         ``None`` derives ``"process"``/``"serial"`` from ``search_workers``;
         otherwise a name from
-        :data:`~repro.execution.search.SEARCH_BACKENDS`.  Never changes
+        :data:`~repro.execution.FANOUT_BACKENDS`.  Never changes
         seeded results.
     early_stop_margin:
         If set (async mode only), a trial whose σ=0 clean utility falls more
@@ -318,9 +318,6 @@ class BayesFTSearch:
             "include_alpha_dropout": getattr(
                 self.search_space, "include_alpha_dropout", True),
             "early_stop_margin": self.early_stop_margin,
-            # Plain flag, not a tracer: workers build their own session and
-            # ship span/counter snapshots back with each trial result.
-            "trace": current().enabled,
         }
         pool = SearchTrialPool(_execute_search_trial, context,
                                workers=self.search_workers,

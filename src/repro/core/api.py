@@ -76,7 +76,7 @@ class BayesFT:
         ``suggest_batch``.
     search_backend:
         ``None`` derives ``"process"``/``"serial"`` from ``search_workers``;
-        or a :data:`~repro.execution.search.SEARCH_BACKENDS` name.  Never
+        or a :data:`~repro.execution.FANOUT_BACKENDS` name.  Never
         changes seeded results.
     early_stop_margin:
         Async-mode early termination: a trial whose clean (σ=0) utility

@@ -39,7 +39,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..telemetry import Telemetry, current, using
+from ..telemetry import current
 from ..training.trainer import Trainer
 from ..utils import heap
 from .search_space import DropoutSearchSpace
@@ -89,21 +89,14 @@ def _execute_search_trial(context: dict, payload: dict) -> dict:
     spawned sub-streams (module reseed / SGD shuffling / objective) make the
     trial reproducible bit-for-bit wherever it runs.
 
-    When the parent session is tracing (``context["trace"]``), the trial
-    captures its own span tree — train / evaluate, with the objective's
-    whole sweep hierarchy nested below — and ships the snapshot back inside
-    the result dict; the scheduler grafts it under the batch's span.  The
-    flag carries no entropy and the snapshot rides outside every canonical
-    field, so traced and untraced trials commit identical observations.
+    A traced trial records one ``search_trial`` span (train / evaluate,
+    with the objective's whole sweep hierarchy nested below); in a worker
+    the pool ships that span back and grafts it under the batch's span.
+    Telemetry rides outside every canonical field, so traced and untraced
+    trials commit identical observations.
     """
-    if not context.get("trace"):
+    with current().span("search_trial", index=payload["index"]):
         return _search_trial_body(context, payload)
-    telemetry = Telemetry()
-    with using(telemetry):
-        with telemetry.span("search_trial", index=payload["index"]):
-            result = _search_trial_body(context, payload)
-    result["telemetry"] = telemetry.snapshot()
-    return result
 
 
 def _search_trial_body(context: dict, payload: dict) -> dict:
@@ -192,8 +185,7 @@ class AsyncTrialScheduler:
         completed = 0
         while completed < n_trials:
             q = min(self.suggest_batch, n_trials - completed)
-            with telemetry.span("bo_batch", batch=self.batches_run,
-                                q=q) as batch_span:
+            with telemetry.span("bo_batch", batch=self.batches_run, q=q):
                 with telemetry.span("suggest_batch", q=q):
                     alphas = [np.asarray(alpha, dtype=np.float64)
                               for alpha in self.optimizer.suggest_batch(q)]
@@ -204,8 +196,6 @@ class AsyncTrialScheduler:
                 # order (and a pool may even return them shuffled); the
                 # trace is built from trial indices alone.
                 for result in sorted(results, key=lambda r: r["index"]):
-                    telemetry.absorb(result.pop("telemetry", None),
-                                     under=batch_span)
                     slot = result["index"] - completed
                     self.optimizer.observe(alphas[slot], result["value"])
                     commit(alphas[slot], result)

@@ -22,14 +22,16 @@ independent scenario cells over a worker pool, and
 :mod:`repro.execution.search` fans concurrent search trials (train +
 evaluate units from batched Bayesian optimisation) over a persistent one.
 
-All of them draw their pools from the process-wide warm
-:class:`~repro.execution.runtime.ExecutionRuntime`: pools are leased and
-returned still running, and worker context travels as digest-keyed
-shared-memory payloads, so back-to-back sweeps (the BO inner loop) stop
-paying fork + context shipping per sweep.  ``configure_runtime``,
-``REPRO_WARM_RUNTIME=0`` or a backend's ``warm=False`` restore the
-historical pool-per-sweep behaviour; results are byte-identical either
-way.
+All three fan-outs are callers of one primitive,
+:class:`~repro.execution.pool.TaskPool`: ``task_fn(context, payload)``
+over a pool leased from the process-wide warm
+:class:`~repro.execution.runtime.ExecutionRuntime`, with the context
+installed once per worker by digest, results in payload order, worker
+telemetry shipped back, and pool breakage told apart from a task's own
+error.  Pools are returned still running, so back-to-back sweeps (the BO
+inner loop) stop paying fork + context shipping per sweep.  Outside the
+main process (a pool inside a cell worker) leases are uncached and
+released at once.
 """
 
 from .base import (
@@ -37,21 +39,21 @@ from .base import (
     available_backends, register_backend, resolve_backend, validate_backend,
 )
 from .runtime import (
-    ExecutionRuntime, configure_runtime, get_runtime, shutdown_runtime,
-    using_runtime,
+    ExecutionRuntime, get_runtime, shutdown_runtime, using_runtime,
 )
+from .pool import FANOUT_BACKENDS, TaskPool
 from .serial import SerialBackend
 from .process import ProcessPoolBackend
 from .shared import SharedMemoryBackend
 from .cells import run_cells
-from .search import SearchTrialPool, SEARCH_BACKENDS
+from .search import SearchTrialPool
 
 __all__ = [
     "EvalContext", "ExecutionBackend", "TrialResult",
     "available_backends", "register_backend", "resolve_backend",
     "validate_backend",
-    "ExecutionRuntime", "configure_runtime", "get_runtime",
-    "shutdown_runtime", "using_runtime",
+    "ExecutionRuntime", "get_runtime", "shutdown_runtime", "using_runtime",
+    "TaskPool", "FANOUT_BACKENDS",
     "SerialBackend", "ProcessPoolBackend", "SharedMemoryBackend",
-    "run_cells", "SearchTrialPool", "SEARCH_BACKENDS",
+    "run_cells", "SearchTrialPool",
 ]

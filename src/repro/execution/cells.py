@@ -23,55 +23,21 @@ behind one execution layer.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from ..telemetry import current
+from .pool import TaskPool
 
-from ..telemetry import Telemetry, current, using
-from .process import _pool_context
-from .runtime import get_runtime
-
-__all__ = ["run_cells", "CELL_BACKENDS"]
-
-#: Cell fan-out ships declarative specs, not weight arrays, so only the
-#: generic pool applies; asking for ``shared_memory`` here is a category
-#: error the caller should hear about.
-CELL_BACKENDS = ("serial", "process")
-
-
-class _PoolBroke(Exception):
-    """Internal marker: the *pool* failed, not a cell.
-
-    Raised around pool construction/submission (fork limits, pickling) and
-    on :class:`BrokenExecutor` from a result — the cases where re-running
-    the remaining cells in-process can actually succeed.  A deterministic
-    error raised *by a cell's own execution* surfaces from
-    ``future.result()`` with its original type and must propagate
-    unchanged: retrying it serially would only fail again, after wasted
-    training.  Classifying by *where* the exception came from (submission
-    vs a completed task) rather than by type is what keeps e.g. a cell's
-    ``OSError`` (disk full while saving to the store) from being mistaken
-    for pool breakage.
-    """
-
-    def __init__(self, error: BaseException):
-        super().__init__(f"{type(error).__name__}: {error}")
-        self.error = error
+__all__ = ["run_cells"]
 
 
 def _execute_cell(spec_payload: dict, store_root: str | None,
-                  scenario: str | None, runner_kwargs: dict,
-                  trace: bool = False) -> dict:
-    """Worker task: execute one declarative cell, persist it, return it.
+                  scenario: str | None, runner_kwargs: dict) -> dict:
+    """Execute one declarative cell, persist it, return it as plain data.
 
-    Runs in a child process, so everything crosses as plain data.  The cell
-    executes exactly the code path :meth:`ScenarioRunner.run` uses in the
-    parent — same registries, same seeding, same store writes, same
-    scheduling overrides (``runner_kwargs`` carries the parent runner's
-    ``workers``/``max_chunk_trials``/``backend``) — which is what keeps
-    fanned-out matrices bit-identical to serial ones.  When the parent
-    session is tracing, the worker captures its own span tree (the same
-    protocol as the trial backends) and ships the snapshot back with the
-    cell result.
+    The cell executes exactly the code path :meth:`ScenarioRunner.run`
+    uses in the parent — same registries, same seeding, same store
+    writes, same scheduling overrides (``runner_kwargs`` carries the
+    parent runner's ``workers``/``max_chunk_trials``/``backend``) — which
+    is what keeps fanned-out matrices bit-identical to serial ones.
     """
     from ..scenarios.runner import ScenarioRunner
     from ..scenarios.spec import ScenarioSpec
@@ -79,20 +45,13 @@ def _execute_cell(spec_payload: dict, store_root: str | None,
 
     spec = ScenarioSpec.from_dict(spec_payload)
     store = None if store_root is None else ResultStore(store_root)
-    runner = ScenarioRunner(store, **runner_kwargs)
+    run = ScenarioRunner(store, **runner_kwargs).run(spec, scenario=scenario)
+    return {"report": run.report.as_dict(), "cached": run.cached,
+            "elapsed_seconds": run.elapsed_seconds}
 
-    def execute() -> dict:
-        run = runner.run(spec, scenario=scenario)
-        return {"report": run.report.as_dict(), "cached": run.cached,
-                "elapsed_seconds": run.elapsed_seconds, "telemetry": None}
 
-    if not trace:
-        return execute()
-    telemetry = Telemetry()
-    with using(telemetry):
-        payload = execute()
-    payload["telemetry"] = telemetry.snapshot()
-    return payload
+def _cell_task(context: tuple, spec_payload: dict) -> dict:
+    return _execute_cell(spec_payload, *context)
 
 
 def run_cells(specs, store_root: str | None, scenario: str | None,
@@ -113,77 +72,18 @@ def run_cells(specs, store_root: str | None, scenario: str | None,
     called once per finished cell (in completion order) with its result
     dict — the hook behind ``--progress`` ETA lines.
     """
-    payloads = [spec.to_dict() for spec in specs]
-    runner_kwargs = dict(runner_kwargs or {})
+    width = min(workers, len(specs))
     telemetry = current()
-    trace = telemetry.enabled
-    results: list[dict | None] = [None] * len(specs)
-    fallback_reason: str | None = None
-    with telemetry.span("cell_fanout", cells=len(specs),
-                        workers=workers) as span:
+    with telemetry.span("cell_fanout", cells=len(specs), workers=workers):
         # Worker-side sweeps report their own (serial) worker counts; the
         # fan-out's pool width is the figure that makes utilisation honest.
-        telemetry.gauge("workers", min(workers, len(specs)))
-        def drain(pool) -> None:
-            try:
-                futures = {pool.submit(_execute_cell, payload,
-                                       store_root, scenario,
-                                       runner_kwargs, trace):
-                           index
-                           for index, payload in enumerate(payloads)}
-            except Exception as error:  # submission/fork-time failure
-                raise _PoolBroke(error) from error
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except BrokenExecutor as error:
-                    raise _PoolBroke(error) from error
-                results[futures[future]] = result
-                telemetry.absorb(result.pop("telemetry", None),
-                                 under=span)
-                if progress is not None:
-                    progress(result)
-
-        # Cell tasks are self-contained (spec JSON + plain kwargs), so a
-        # warm bare pool from the runtime serves them directly — no
-        # context publication needed, and the workers stay up for the
-        # next matrix.  With the runtime opted out, the historical
-        # pool-per-call behaviour is unchanged.
-        lease = get_runtime().lease_pool(min(workers, len(specs)))
+        telemetry.gauge("workers", width)
+        pool = TaskPool(_cell_task,
+                        (store_root, scenario, dict(runner_kwargs or {})),
+                        width, fallback="cell")
         try:
-            try:
-                if lease is not None:
-                    drain(lease.pool)
-                else:
-                    with ProcessPoolExecutor(
-                            max_workers=min(workers, len(specs)),
-                            mp_context=_pool_context()) as pool:
-                        drain(pool)
-            except _PoolBroke:
-                raise
-            except BrokenExecutor as error:
-                # The pool can also break while its context manager shuts
-                # down.
-                raise _PoolBroke(error) from error
-        except _PoolBroke as broke:
-            warnings.warn(f"cell fan-out fell back to serial execution "
-                          f"({broke})", RuntimeWarning, stacklevel=2)
-            fallback_reason = str(broke)
-            telemetry.add("cell_pool_fallbacks")
-            for index, payload in enumerate(payloads):
-                if results[index] is None:
-                    # In-process retry: the ambient session is this one, so
-                    # the cell's spans land directly without the worker
-                    # snapshot protocol.
-                    result = _execute_cell(payload, store_root, scenario,
-                                           runner_kwargs)
-                    result.pop("telemetry", None)
-                    results[index] = result
-                    if progress is not None:
-                        progress(result)
+            results = pool.map([spec.to_dict() for spec in specs],
+                               on_result=progress)
         finally:
-            if lease is not None:
-                # A broken leased pool is evicted by the runtime here, so
-                # the next matrix leases a fresh one.
-                lease.release()
-    return results, fallback_reason
+            pool.close()
+    return results, pool.fallback_reason

@@ -3,111 +3,55 @@
 This is the fork/spawn pool that used to live inside
 ``DriftSweepEngine._make_pool``, extracted behind the
 :class:`~repro.execution.base.ExecutionBackend` interface.  The model and
-dataset are shipped once per worker via the pool initializer; each task
-then pickles one trial's full drifted parameter arrays — simple and
-dependency-free, but for deep models the per-task pickling dominates
-(see :class:`~repro.execution.shared.SharedMemoryBackend` for the
-shared-memory alternative that ships only an offset table).
+dataset travel once per worker as the :class:`~repro.execution.pool.TaskPool`
+context; each task then pickles its trials' full drifted parameter arrays
+— simple and dependency-free, but for deep models the per-task pickling
+dominates (see :class:`~repro.execution.shared.SharedMemoryBackend` for
+the shared-memory alternative that ships only an offset table).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
-from ..telemetry import Telemetry, current, using
+from ..telemetry import current
 from .base import ExecutionBackend, TrialResult, register_backend
-from .runtime import get_runtime, read_payload
+from .pool import TaskPool
 
 __all__ = ["ProcessPoolBackend"]
 
 
-# --------------------------------------------------------------------------- #
-# Worker-process plumbing, module-level so the pool can pickle it.
-# --------------------------------------------------------------------------- #
-_WORKER_STATE: dict = {}
+def _evaluate(context: dict, pending: dict) -> list[TrialResult]:
+    """Score ``pending`` trials on a worker's installed context.
 
-
-def _init_worker(model, data, evaluate_fn, evaluator=None,
-                 trace: bool = False) -> None:
-    # The model arrives clean (the pool is created before any trial is
-    # applied), so the worker-local injector snapshots the same clean state
-    # as the main process and apply_trial enforces the identical restore
-    # invariant: parameters absent from a trial reset to the snapshot, so a
-    # worker that just ran a trial drifting a different parameter subset
-    # (per-σ policies) cannot leak stale weights into the next one.
-    from ..fault.drift import LogNormalDrift
-    from ..fault.injector import FaultInjector
-    from ..inference import PerTrialEvaluator
-
-    injector = FaultInjector(model, LogNormalDrift(0.0))
-    injector.snapshot()
-    _WORKER_STATE["model"] = model
-    _WORKER_STATE["injector"] = injector
-    _WORKER_STATE["data"] = data
-    _WORKER_STATE["evaluate_fn"] = evaluate_fn
-    _WORKER_STATE["evaluator"] = evaluator or PerTrialEvaluator()
-    _WORKER_STATE["trace"] = bool(trace)
-
-
-def _run_trial_group(group: list) -> dict:
-    # The worker runs the same evaluator instance the main process would
-    # use in-process — batching logic has exactly one code path — so the
-    # per-trial scores a pool returns are the serial path's, bit for bit.
-    # When the parent session is tracing, the worker captures its own local
-    # spans under a throwaway Telemetry and ships the snapshot back in the
-    # same payload as the results; the parent grafts it under the span that
-    # submitted the task.
-    state = _WORKER_STATE
-
-    def evaluate() -> list[TrialResult]:
-        return state["evaluator"].run(state["model"], state["data"],
-                                      state["evaluate_fn"], dict(group),
-                                      state["injector"].apply_trial)
-
-    if not state.get("trace"):
-        return {"results": evaluate(), "telemetry": None}
-    telemetry = Telemetry()
-    with using(telemetry):
-        with telemetry.span("task", trials=len(group)):
-            results = evaluate()
-    return {"results": results, "telemetry": telemetry.snapshot()}
-
-
-def _install_context(handle: tuple, trace: bool) -> None:
-    """Install a runtime-published context in this worker, once per digest.
-
-    Warm pools carry no initializer, so every task leads with the
-    ``(digest, segment, nbytes)`` handle of the context it needs.  A
-    digest match skips the unpickle entirely (the worker already holds
-    the identical model/data/evaluate_fn — same bytes, same installed
-    state, so the restore invariant carries over unchanged); a miss
-    attaches the segment, unpickles, and re-runs the same
-    :func:`_init_worker` the cold initializer path uses.  ``trace`` is
-    deliberately outside the digest: it is per-task telemetry state, not
-    evaluation content.
+    The first task on a context snapshots its clean model into a
+    worker-local injector, so ``apply_trial`` enforces the same restore
+    invariant as the main process: parameters absent from a trial reset
+    to the snapshot, and a trial drifting a different parameter subset
+    (per-σ policies) cannot leak stale weights into the next one.  The
+    worker runs the same evaluator instance the main process would use
+    in-process, so a pool returns the serial path's scores bit for bit.
     """
-    if _WORKER_STATE.get("context_digest") != handle[0]:
-        # Cleared first so a failed install can never leave a stale digest
-        # claiming the previous context is still current.
-        _WORKER_STATE.pop("context_digest", None)
-        model, data, evaluate_fn, evaluator = read_payload(handle)
-        _init_worker(model, data, evaluate_fn, evaluator, trace)
-        _WORKER_STATE["context_digest"] = handle[0]
-    else:
-        _WORKER_STATE["trace"] = bool(trace)
+    injector = context.get("injector")
+    if injector is None:
+        from ..fault.drift import LogNormalDrift
+        from ..fault.injector import FaultInjector
+
+        injector = context["injector"] = FaultInjector(context["model"],
+                                                       LogNormalDrift(0.0))
+        injector.snapshot()
+    evaluator = context["evaluator"]
+    if evaluator is None:
+        from ..inference import PerTrialEvaluator
+        evaluator = PerTrialEvaluator()
+    with current().span("task", trials=len(pending)):
+        return evaluator.run(context["model"], context["data"],
+                             context["evaluate_fn"], pending,
+                             injector.apply_trial)
 
 
-def _warm_run_trial_group(handle: tuple, trace: bool, group: list) -> dict:
-    _install_context(handle, trace)
-    return _run_trial_group(group)
-
-
-def _pool_context():
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+def _evaluate_group(context: dict, group: list) -> list[TrialResult]:
+    return _evaluate(context, dict(group))
 
 
 @register_backend("process")
@@ -115,87 +59,47 @@ class ProcessPoolBackend(ExecutionBackend):
     """Fan trials out over ``workers`` processes, pickled trial groups as tasks.
 
     The pool is engaged lazily on the first chunk with two or more tasks,
-    so no process is forked (and pays the model/data shipping cost)
-    without work to do; chunks that fit a single task always evaluate
-    in-process.  With the default per-trial evaluator a task is exactly
-    one trial — the historical behaviour; a batched evaluator packs
-    ``trial_batch`` trials per task.  Any pool failure propagates to the
-    engine, which degrades the rest of the sweep to serial evaluation.
-
-    When the warm :class:`~repro.execution.runtime.ExecutionRuntime` is
-    enabled (the default), the pool is *leased* rather than built: the
-    runtime hands back a persistent bare pool and the context travels as
-    a digest-keyed shared-memory payload attached to each task, so
-    ``close()`` releases the lease and the workers stay warm for the
-    next sweep.  ``warm=False`` (or a disabled runtime) restores the
-    historical cold pool with an initializer, torn down at ``close()``.
-    Either way the evaluation path in the worker is the same
-    ``_run_trial_group``, which is what keeps warm and cold results
-    byte-identical.
+    so no process is leased (and no context published) without work to
+    do; chunks that fit a single task always evaluate in-process.  With
+    the default per-trial evaluator a task is exactly one trial; a batched
+    evaluator packs ``trial_batch`` trials per task.  The pool is leased
+    from the warm :class:`~repro.execution.runtime.ExecutionRuntime`
+    through a :class:`~repro.execution.pool.TaskPool`, so ``close()``
+    leaves the workers warm for the next sweep.  Any pool failure
+    propagates to the engine, which degrades the rest of the sweep to
+    serial evaluation.
     """
 
     name = "process"
     out_of_process = True
+    task_fn = staticmethod(_evaluate_group)
 
-    def __init__(self, workers: int = 2, warm: bool | None = None):
+    def __init__(self, workers: int = 2):
         super().__init__()
         if workers < 2:
             raise ValueError("a pool backend needs at least 2 workers; "
                              "use SerialBackend for in-process evaluation")
         self.workers = int(workers)
-        self.warm = warm
-        self._pool: ProcessPoolExecutor | None = None
-        # The configured cap actually applied to the live pool — the
-        # ``workers_used`` source of truth (never the executor's privates).
-        self._pool_width = 0
-        self._pool_lease = None
-        self._context_lease = None
-        self._context_handle: tuple | None = None
+        self._pool: TaskPool | None = None
 
     # ------------------------------------------------------------------ #
-    def _context_payload(self) -> bytes:
-        """Pickle the full worker context once; its bytes key the segment."""
+    def _worker_context(self) -> dict:
+        """What each worker installs once: model, data and evaluation."""
         context = self.context
-        return pickle.dumps((context.model, context.data,
-                             context.evaluate_fn, context.evaluator))
+        return {"model": context.model, "data": context.data,
+                "evaluate_fn": context.evaluate_fn,
+                "evaluator": context.evaluator}
 
-    def _lease_context(self, runtime) -> None:
-        self._context_lease = runtime.lease_payload(self._context_payload())
-        self._context_handle = self._context_lease.handle
-
-    def _submit_group(self, pool: ProcessPoolExecutor, group: list):
-        if self._context_handle is not None:
-            return pool.submit(_warm_run_trial_group, self._context_handle,
-                               self.context.trace, group)
-        return pool.submit(_run_trial_group, group)
-
-    def _ensure_pool(self, task_count: int) -> ProcessPoolExecutor:
+    def _map(self, payloads: list) -> list[TrialResult]:
+        """Ship one task per payload; flatten the results in order."""
         if self._pool is None:
-            runtime = get_runtime() if self.warm is not False else None
-            lease = (runtime.lease_pool(self.workers)
-                     if runtime is not None else None)
-            if lease is not None:
-                self._pool_lease = lease
-                self._pool = lease.pool
-                self._pool_width = lease.workers
-                self._lease_context(runtime)
-            else:
-                width = min(self.workers, task_count)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=width,
-                    mp_context=_pool_context(),
-                    initializer=self._initializer(),
-                    initargs=self._cold_initargs())
-                self._pool_width = width
-        return self._pool
-
-    def _initializer(self):
-        return _init_worker
-
-    def _cold_initargs(self) -> tuple:
-        context = self.context
-        return (context.model, context.data, context.evaluate_fn,
-                context.evaluator, context.trace)
+            self._pool = TaskPool(self.task_fn, self._worker_context(),
+                                  self.workers)
+        self.metrics.counter("tasks_shipped").add(len(payloads))
+        batches = self._pool.map(payloads)
+        self.used_backend = self.name
+        self.workers_used = self.workers
+        return [result for batch in batches for result in batch]
 
     def _group_pending(self, pending: dict[str, dict]) -> list[list]:
         """Group pending trials into worker tasks of ``trial_batch`` trials.
@@ -224,37 +128,13 @@ class ProcessPoolBackend(ExecutionBackend):
         groups = self._group_pending(pending)
         if len(groups) < 2:
             return self._run_in_process(pending, apply_trial)
-        telemetry = current()
-        with telemetry.span("backend", backend=self.name,
-                            tasks=len(groups)) as span:
-            pool = self._ensure_pool(len(groups))
-            futures = [self._submit_group(pool, group) for group in groups]
-            self.metrics.counter("tasks_shipped").add(len(futures))
+        with current().span("backend", backend=self.name, tasks=len(groups)):
             self.metrics.counter("bytes_shipped").add(
                 sum(self._task_bytes(digest, params)
                     for digest, params in pending.items()))
-            results = []
-            for future in futures:
-                payload = future.result()
-                results.extend(payload["results"])
-                telemetry.absorb(payload["telemetry"], under=span)
-            self.used_backend = self.name
-            self.workers_used = self._pool_width
-        return results
+            return self._map(groups)
 
     def close(self) -> None:
-        if self._pool_lease is not None:
-            # Leased warm pool: give it back, leave the workers running.
-            # A broken pool is evicted by the runtime on release, so the
-            # next sweep forks fresh instead of failing again.
-            self._pool_lease.release()
-            self._pool_lease = None
+        if self._pool is not None:
+            self._pool.close()
             self._pool = None
-        elif self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._context_lease is not None:
-            self._context_lease.release()
-            self._context_lease = None
-            self._context_handle = None
-        self._pool_width = 0

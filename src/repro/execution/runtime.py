@@ -1,36 +1,34 @@
 """Warm execution runtime: persistent worker pools + digest-keyed segments.
 
-Every sweep used to build its own worker pool and tear it down at
-``backend.close()`` — a BayesFT search (one full sweep per BO trial) paid
-fork, initializer shipping and dataset publication dozens of times per
-run, which is exactly the overhead-dominated regime where the async BO
-fan-out measured *slower* than serial.  :class:`ExecutionRuntime` fixes
-that by making the expensive resources process-wide and leased:
+A BayesFT search runs one full sweep per BO trial, and each sweep used to
+fork a worker pool, ship its context and tear everything down again.
+:class:`ExecutionRuntime` makes those resources process-wide and leased:
 
-* **Warm pools.**  Pools are *bare* ``ProcessPoolExecutor``s (no
-  initializer), keyed by ``(workers, multiprocessing start method)``, so
-  the same pool serves trial backends, search-trial fan-out and cell
-  fan-out alike.  ``lease_pool()`` hands out the cached pool (or forks a
-  new one on a cold start); releasing a lease leaves the pool warm for
-  the next sweep.
+* **Warm pools.**  Pools are bare ``ProcessPoolExecutor``s keyed by
+  ``(workers, multiprocessing start method)``, so one pool serves trial
+  backends, search-trial fan-out and cell fan-out alike (all of them
+  through :class:`~repro.execution.pool.TaskPool`).  ``lease_pool()``
+  hands out the cached pool, forking a new one on a cold start;
+  releasing a lease leaves the pool warm for the next sweep.
 * **Digest-keyed segments.**  Worker context (model weights, evaluation
-  data, evaluate_fn, evaluator) no longer rides in a pool initializer —
-  it is pickled once, content-hashed, published into a
-  ``multiprocessing.shared_memory`` segment and *leased by digest*:
-  identical content (the same trained weights across a σ grid, the same
-  dataset across every BO trial) is published once and re-leased, and
-  only changed payloads are re-shipped.  Workers install a context on
-  first use and skip the unpickle entirely when a task arrives with the
-  digest they already hold.
+  data, the task function) is pickled once, content-hashed, published
+  into a ``multiprocessing.shared_memory`` segment and *leased by
+  digest*: identical content (the same dataset across every BO trial)
+  is published once and re-leased, and only changed payloads are
+  re-shipped.  Workers install a context on first use and skip the
+  unpickle when a task arrives with the digest they already hold.
 
 Lifecycle rules, all load-bearing:
 
-* **Fork safety.**  A lease never crosses ``fork``: the runtime stamps
-  its owning PID and resets itself (dropping — *not* closing — the
-  parent's pools and segments) the first time it is touched from a new
-  process.  Leases are also only handed out in the main process — worker
-  processes exit via ``os._exit`` without running ``atexit`` hooks, so a
-  warm pool created inside a worker would leak its grandchildren.
+* **Only the main process caches.**  A lease never crosses ``fork``: the
+  runtime stamps its owning PID and resets itself (dropping, *not*
+  closing, the parent's pools and segments) the first time it is touched
+  from a new process.  Outside the main process (a cell worker running a
+  ``workers=2`` sweep, say) ``lease_pool`` and ``lease_payload`` hand out
+  *uncached* leases: ``release()`` joins the pool and unlinks the
+  segment at once.  Pool workers exit through ``os._exit`` without
+  running ``atexit`` hooks, so anything cached there would orphan its
+  grandchildren and segments.
 * **Idle TTL.**  Unleased pools and segments older than ``idle_ttl``
   seconds are reaped on the next runtime touch (and idle segments beyond
   ``max_idle_segments`` are evicted oldest-first, bounding ``/dev/shm``
@@ -40,18 +38,13 @@ Lifecycle rules, all load-bearing:
   is first built, PID-guarded) guarantees the same at interpreter exit,
   so no orphan processes or segments survive the owning process.
 
-Counters — ``pool_reuses`` / ``segment_reuses`` / ``cold_starts`` /
-``segments_published`` — are kept on the runtime's own
+Counters (``pool_reuses`` / ``segment_reuses`` / ``cold_starts`` /
+``segments_published``) are kept on the runtime's own
 :class:`~repro.telemetry.MetricsRegistry` and mirrored into the ambient
 telemetry session, so ``trace summarize`` shows how warm a run actually
 ran.  The determinism contract is untouched: the runtime moves *where*
-pools and bytes live, never what is evaluated — canonical reports and
-golden BO traces are byte-identical with reuse on or off.
-
-Opting out: ``configure_runtime(enabled=False)``, the
-``REPRO_WARM_RUNTIME=0`` environment variable, a backend's
-``warm=False``, or ``python -m repro run --cold-runtime`` all restore
-the historical pool-per-sweep behaviour.
+pools and bytes live, never what is evaluated, so a first lease and a
+re-lease give canonical reports byte-identical to serial evaluation.
 """
 
 from __future__ import annotations
@@ -71,8 +64,7 @@ from ..telemetry import MetricsRegistry, current
 
 __all__ = [
     "ExecutionRuntime", "PoolLease", "SegmentLease",
-    "get_runtime", "configure_runtime", "shutdown_runtime", "using_runtime",
-    "read_payload",
+    "get_runtime", "shutdown_runtime", "using_runtime", "read_payload",
 ]
 
 #: Idle seconds after which an unleased pool or segment is reaped.
@@ -83,20 +75,13 @@ DEFAULT_IDLE_TTL = 300.0
 #: trial and must not grow ``/dev/shm`` without bound.
 DEFAULT_MAX_IDLE_SEGMENTS = 8
 
-_ENV_KNOB = "REPRO_WARM_RUNTIME"
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get(_ENV_KNOB, "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
 
 def _in_main_process() -> bool:
     return multiprocessing.parent_process() is None
 
 
 def _pool_method() -> str:
-    """The start method warm pools use — mirrors ``process._pool_context``."""
+    """The start method every pool uses: ``fork`` where available."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return multiprocessing.get_start_method(allow_none=False)
@@ -105,10 +90,11 @@ def _pool_method() -> str:
 def _untrack_attachment(segment: shared_memory.SharedMemory) -> None:
     """Keep a mere attachment out of a spawned process's resource tracker.
 
-    Same rule as ``shared._attach``: on CPython < 3.13 spawned processes
-    register attachments with their own tracker and would double-unlink
-    the owner's segment at exit; forked processes share the owner's
-    tracker, where the duplicate registration is a set no-op.
+    On CPython < 3.13 spawned processes register attachments with their
+    own tracker and would double-unlink the owner's segment at exit.
+    Forked processes share the owner's tracker, where the duplicate
+    registration is a set no-op and unregistering would make the owner's
+    own unlink fail instead.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         try:
@@ -134,6 +120,12 @@ def read_payload(handle: tuple) -> object:
         segment.close()
 
 
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=int(workers),
+        mp_context=multiprocessing.get_context(_pool_method()))
+
+
 # --------------------------------------------------------------------------- #
 # Cache entries and leases.
 # --------------------------------------------------------------------------- #
@@ -154,9 +146,13 @@ class _SegmentEntry:
 
 
 class PoolLease:
-    """A borrowed warm pool.  ``release()`` returns it, still running."""
+    """A borrowed pool.  ``release()`` returns a cached pool still running.
 
-    def __init__(self, runtime: "ExecutionRuntime", key: tuple,
+    An uncached lease (``key is None``, outside the main process) joins its
+    pool on release instead.
+    """
+
+    def __init__(self, runtime: "ExecutionRuntime", key: tuple | None,
                  entry: _PoolEntry):
         self._runtime = runtime
         self._key = key
@@ -178,9 +174,12 @@ class PoolLease:
 
 
 class SegmentLease:
-    """A borrowed published segment; ``handle`` is its caller-defined meta."""
+    """A borrowed published segment; ``handle`` is its caller-defined meta.
 
-    def __init__(self, runtime: "ExecutionRuntime", key: str,
+    An uncached lease (``key is None``) unlinks its segment on release.
+    """
+
+    def __init__(self, runtime: "ExecutionRuntime", key: str | None,
                  entry: _SegmentEntry):
         self._runtime = runtime
         self._key = key
@@ -210,35 +209,14 @@ class ExecutionRuntime:
     closing resources the parent still owns.
     """
 
-    def __init__(self, enabled: bool | None = None,
-                 idle_ttl: float = DEFAULT_IDLE_TTL,
+    def __init__(self, idle_ttl: float = DEFAULT_IDLE_TTL,
                  max_idle_segments: int = DEFAULT_MAX_IDLE_SEGMENTS):
-        self._enabled = _env_enabled() if enabled is None else bool(enabled)
         self.idle_ttl = float(idle_ttl)
         self.max_idle_segments = int(max_idle_segments)
         self._pid = os.getpid()
         self._pools: dict[tuple, _PoolEntry] = {}
         self._segments: dict[str, _SegmentEntry] = {}
         self.metrics = MetricsRegistry()
-
-    # -- knobs ---------------------------------------------------------- #
-    @property
-    def enabled(self) -> bool:
-        """Warm leasing is on, and this is the process that may own pools."""
-        return self._enabled and _in_main_process()
-
-    def configure(self, enabled: bool | None = None,
-                  idle_ttl: float | None = None,
-                  max_idle_segments: int | None = None) -> "ExecutionRuntime":
-        if enabled is not None:
-            self._enabled = bool(enabled)
-            if not self._enabled:
-                self.shutdown()
-        if idle_ttl is not None:
-            self.idle_ttl = float(idle_ttl)
-        if max_idle_segments is not None:
-            self.max_idle_segments = int(max_idle_segments)
-        return self
 
     # -- fork / bookkeeping --------------------------------------------- #
     def _fork_check(self) -> None:
@@ -257,7 +235,6 @@ class ExecutionRuntime:
         """Introspection for tests and ``trace summarize`` narratives."""
         self._fork_check()
         return {
-            "enabled": self.enabled,
             "pools": len(self._pools),
             "segments": len(self._segments),
             "counters": self.metrics.as_dict(),
@@ -265,15 +242,18 @@ class ExecutionRuntime:
 
     # -- pools ---------------------------------------------------------- #
     def lease_pool(self, workers: int) -> PoolLease | None:
-        """Lease a warm bare pool of ``workers`` processes, or ``None``.
+        """Lease a bare pool of ``workers`` processes (``None`` below 2).
 
-        ``None`` means the runtime is opted out (or this is a worker
-        process) and the caller should build its own cold pool exactly as
-        before the runtime existed.
+        The main process gets the cached warm pool; any other process gets
+        a fresh pool that its lease's ``release()`` joins.
         """
-        if workers < 2 or not self.enabled:
+        if workers < 2:
             return None
         self._fork_check()
+        if not _in_main_process():
+            self._count("cold_starts")
+            return PoolLease(self, None, _PoolEntry(
+                pool=_new_pool(workers), workers=int(workers)))
         self._reap_idle()
         key = (int(workers), _pool_method())
         entry = self._pools.get(key)
@@ -281,10 +261,7 @@ class ExecutionRuntime:
             self._drop_pool(key, entry, wait=False)
             entry = None
         if entry is None:
-            pool = ProcessPoolExecutor(
-                max_workers=int(workers),
-                mp_context=multiprocessing.get_context(_pool_method()))
-            entry = _PoolEntry(pool=pool, workers=int(workers))
+            entry = _PoolEntry(pool=_new_pool(workers), workers=int(workers))
             self._pools[key] = entry
             self._count("cold_starts")
         else:
@@ -298,7 +275,10 @@ class ExecutionRuntime:
             del self._pools[key]
         entry.pool.shutdown(wait=wait, cancel_futures=True)
 
-    def _release_pool(self, key: tuple, entry: _PoolEntry) -> None:
+    def _release_pool(self, key: tuple | None, entry: _PoolEntry) -> None:
+        if key is None:
+            entry.pool.shutdown(wait=True, cancel_futures=True)
+            return
         self._fork_check()
         if self._pools.get(key) is not entry:
             return  # reaped, shut down, or a fork artefact — nothing to do
@@ -311,17 +291,20 @@ class ExecutionRuntime:
         self._reap_idle()
 
     # -- segments ------------------------------------------------------- #
-    def lease_segment(self, key: str, publish) -> SegmentLease | None:
+    def lease_segment(self, key: str, publish) -> SegmentLease:
         """Lease the segment cached under ``key``, publishing on a miss.
 
         ``publish()`` must return ``(shared_memory.SharedMemory, meta)``;
         ``meta`` (the caller's handle — an offset table, a dataset handle,
         a ``(digest, name, nbytes)`` tuple) is returned verbatim on every
         subsequent hit, so identical content is shipped exactly once.
+        Outside the main process every lease publishes its own segment.
         """
-        if not self.enabled:
-            return None
         self._fork_check()
+        if not _in_main_process():
+            segment, meta = publish()
+            self._count("segments_published")
+            return SegmentLease(self, None, _SegmentEntry(segment, meta))
         self._reap_idle()
         entry = self._segments.get(key)
         if entry is None:
@@ -335,7 +318,7 @@ class ExecutionRuntime:
         entry.last_used = time.monotonic()
         return SegmentLease(self, key, entry)
 
-    def lease_payload(self, payload: bytes) -> SegmentLease | None:
+    def lease_payload(self, payload: bytes) -> SegmentLease:
         """Publish (or re-lease) a pickled payload, keyed by its content.
 
         The returned lease's ``handle`` is ``(digest, segment name,
@@ -351,8 +334,8 @@ class ExecutionRuntime:
 
         return self.lease_segment("payload:" + digest, publish)
 
-    def _drop_segment(self, key: str, entry: _SegmentEntry) -> None:
-        if self._segments.get(key) is entry:
+    def _drop_segment(self, key: str | None, entry: _SegmentEntry) -> None:
+        if key is not None and self._segments.get(key) is entry:
             del self._segments[key]
         entry.segment.close()
         try:
@@ -360,7 +343,10 @@ class ExecutionRuntime:
         except FileNotFoundError:
             pass
 
-    def _release_segment(self, key: str, entry: _SegmentEntry) -> None:
+    def _release_segment(self, key: str | None, entry: _SegmentEntry) -> None:
+        if key is None:
+            self._drop_segment(None, entry)
+            return
         self._fork_check()
         if self._segments.get(key) is not entry:
             return
@@ -421,14 +407,6 @@ def get_runtime() -> ExecutionRuntime:
     return _GLOBAL
 
 
-def configure_runtime(enabled: bool | None = None,
-                      idle_ttl: float | None = None,
-                      max_idle_segments: int | None = None) -> ExecutionRuntime:
-    """Tune the process-wide runtime (``enabled=False`` also shuts it down)."""
-    return get_runtime().configure(enabled=enabled, idle_ttl=idle_ttl,
-                                   max_idle_segments=max_idle_segments)
-
-
 def shutdown_runtime() -> None:
     """Shut the process-wide runtime down now (it rebuilds on next use)."""
     if _GLOBAL is not None:
@@ -439,9 +417,9 @@ def shutdown_runtime() -> None:
 def using_runtime(runtime: ExecutionRuntime):
     """Swap the process-wide runtime for ``runtime`` within a block.
 
-    The test/benchmark isolation primitive: warm-vs-cold comparisons run
-    each arm under its own private runtime without touching (or being
-    polluted by) the global one.  The temporary runtime is *not* shut
+    The test/benchmark isolation primitive: a block runs under its own
+    private runtime without touching (or being polluted by) the global
+    one.  The temporary runtime is *not* shut
     down on exit — callers own its lifecycle.
     """
     global _GLOBAL

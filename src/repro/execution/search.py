@@ -7,8 +7,8 @@ Bayesian-optimisation step proposes ``q`` architectures at once
 an independent train-then-evaluate unit of work — a pure function of
 ``(architecture, base weights, trial seed)`` — so the batch can be shipped
 to worker processes wholesale.  The pool is *persistent*: one search keeps
-its workers (and their initializer-shipped model/data/objective context)
-alive across every batch, paying the fork-and-ship cost once.
+its lease (and its installed model/data/objective context) across every
+batch, paying the fork-and-ship cost once.
 
 Completion order is explicitly untrusted: :meth:`SearchTrialPool.run_batch`
 drains workers as they finish but files every result under its payload
@@ -20,101 +20,32 @@ that guarantee.
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Callable
 
-from ..telemetry import MetricsRegistry, current
-from .process import _pool_context
-from .runtime import get_runtime, read_payload
+from ..telemetry import current
+from .pool import TaskPool, validate_fanout_backend
 
-__all__ = ["SearchTrialPool", "SEARCH_BACKENDS"]
-
-#: Search fan-out ships one pickled base state per trial plus a tiny payload;
-#: like cell fan-out only the generic pool applies (``shared_memory`` is a
-#: trial-backend concept and still governs each trial's *inner* sweep).
-SEARCH_BACKENDS = ("serial", "process")
-
-#: Per-worker state installed by the pool initializer: the task function and
-#: the search context (model, datasets, objective, training config) shipped
-#: once per worker instead of once per task.
-_SEARCH_WORKER_STATE: dict = {}
-
-#: Result-slot sentinel distinguishing "not run yet" from a task that
-#: legitimately returned ``None``.
-_UNFINISHED = object()
+__all__ = ["SearchTrialPool"]
 
 
-class _PoolBroke(Exception):
-    """Internal marker: the *pool* failed, not a trial.
-
-    Same classification rule as :class:`repro.execution.cells._PoolBroke`:
-    only failures of submission/fork/worker transport degrade to in-process
-    execution; a deterministic error raised by a trial's own training or
-    evaluation propagates unchanged (retrying it serially would fail again,
-    after wasted work).
-    """
-
-    def __init__(self, error: BaseException):
-        super().__init__(f"{type(error).__name__}: {error}")
-        self.error = error
-
-
-def _init_search_worker(task_fn: Callable, context: dict) -> None:
-    _SEARCH_WORKER_STATE["task_fn"] = task_fn
-    _SEARCH_WORKER_STATE["context"] = context
-
-
-def _run_search_task(payload: dict):
-    return _SEARCH_WORKER_STATE["task_fn"](_SEARCH_WORKER_STATE["context"], payload)
-
-
-def _warm_run_search_task(handle: tuple, payload: dict):
-    """Warm-pool task: install the search context once per digest, then run.
-
-    Same digest protocol as the trial backends' warm tasks: a worker that
-    already holds this exact ``(task_fn, context)`` pickle skips the
-    unpickle; every task re-derives its own per-trial state from the
-    context and payload regardless, so a reused context cannot leak one
-    trial's state into the next.
-    """
-    state = _SEARCH_WORKER_STATE
-    if state.get("digest") != handle[0]:
-        state.pop("digest", None)
-        task_fn, context = read_payload(handle)
-        state["task_fn"] = task_fn
-        state["context"] = context
-        state["digest"] = handle[0]
-    return state["task_fn"](state["context"], payload)
-
-
-class SearchTrialPool:
-    """Persistent worker pool executing ``task_fn(context, payload)`` tasks.
+class SearchTrialPool(TaskPool):
+    """Persistent :class:`~repro.execution.pool.TaskPool` for search trials.
 
     Parameters
     ----------
-    task_fn:
-        Module-level function (it crosses to workers by reference) run once
-        per payload.  Must be self-contained: every task re-derives all of
-        its state from ``context`` and its own payload, never from what a
-        previous task left behind in the worker.
-    context:
-        Shipped to each worker once at pool creation via the initializer.
+    task_fn, context:
+        As for :class:`~repro.execution.pool.TaskPool`.
     workers:
-        ``0``/``1`` executes in-process; ``n >= 2`` forks ``n`` workers.
+        ``0``/``1`` executes in-process; ``n >= 2`` fans out over ``n``.
     backend:
         ``None`` derives ``"process"``/``"serial"`` from ``workers``;
-        otherwise a name from :data:`SEARCH_BACKENDS`.
+        otherwise a name from :data:`~repro.execution.pool.FANOUT_BACKENDS`.
 
-    Attributes
-    ----------
-    used_backend / tasks_shipped / fell_back / fallback_reason:
-        Volatile scheduling accounting (never part of canonical results).
-        ``tasks_shipped`` and ``fell_back`` are views over the pool's
-        :class:`~repro.telemetry.MetricsRegistry` (``fell_back`` is
-        "``pool_fallbacks`` > 0"), so a degraded search is visible both on
-        the pool and — when a session is active — in the run's telemetry.
+    ``used_backend`` / ``tasks_shipped`` / ``fell_back`` /
+    ``fallback_reason`` are volatile scheduling accounting, never part of
+    canonical results.  Pool breakage degrades the unfinished remainder
+    of a batch to in-process execution with a warning and a
+    ``search_pool_fallbacks`` counter; later batches stay in-process.
     """
 
     def __init__(self, task_fn: Callable, context: dict, workers: int = 0,
@@ -123,114 +54,19 @@ class SearchTrialPool:
             raise ValueError("workers must be non-negative")
         if backend is None:
             backend = "process" if workers >= 2 else "serial"
-        if backend not in SEARCH_BACKENDS:
-            raise ValueError(f"unknown search backend {backend!r}; "
-                             f"expected one of {SEARCH_BACKENDS}")
-        if backend == "process" and workers < 2:
+        validate_fanout_backend(backend, "search")
+        if workers < 2:
             backend = "serial"
-        self._task_fn = task_fn
-        self._context = context
+        super().__init__(task_fn, context,
+                         width=workers if backend == "process" else 0,
+                         fallback="search")
         self.workers = int(workers)
         self.used_backend = backend
-        self.metrics = MetricsRegistry()
-        self.fallback_reason: str | None = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lease = None
-        self._context_lease = None
-        self._context_handle: tuple | None = None
-
-    @property
-    def tasks_shipped(self) -> int:
-        return self.metrics.value("tasks_shipped")
-
-    @property
-    def fell_back(self) -> bool:
-        return self.metrics.value("pool_fallbacks") > 0
-
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            runtime = get_runtime()
-            lease = runtime.lease_pool(self.workers)
-            if lease is not None:
-                # Warm pool from the runtime: the (task_fn, context) pair
-                # ships as a digest-keyed payload installed on first use —
-                # a second search over the same model/data re-leases both
-                # the pool and the published context.
-                self._pool_lease = lease
-                self._pool = lease.pool
-                self._context_lease = runtime.lease_payload(
-                    pickle.dumps((self._task_fn, self._context)))
-                self._context_handle = self._context_lease.handle
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=_pool_context(),
-                    initializer=_init_search_worker,
-                    initargs=(self._task_fn, self._context))
-        return self._pool
-
-    def _submit(self, pool: ProcessPoolExecutor, payload):
-        if self._context_handle is not None:
-            return pool.submit(_warm_run_search_task, self._context_handle,
-                               payload)
-        return pool.submit(_run_search_task, payload)
-
-    def _run_serial(self, payloads: list, results: list) -> list:
-        for index, payload in enumerate(payloads):
-            if results[index] is _UNFINISHED:
-                results[index] = self._task_fn(self._context, payload)
-        return results
 
     def run_batch(self, payloads: list) -> list:
-        """Execute one batch; results returned in ``payloads`` order.
-
-        Workers are drained as they complete (any order), but each result is
-        filed under its submission index — completion order can never leak
-        into what the caller sees.  Pool breakage degrades the unfinished
-        remainder to in-process execution with a warning, exactly like the
-        trial and cell backends; the pool is not retried afterwards.
-        """
-        results: list = [_UNFINISHED] * len(payloads)
-        if not payloads:
-            return results
-        if self.used_backend == "serial" or self.fell_back or len(payloads) == 1:
-            return self._run_serial(payloads, results)
-        try:
-            try:
-                pool = self._ensure_pool()
-                futures = {self._submit(pool, payload): index
-                           for index, payload in enumerate(payloads)}
-            except Exception as error:  # submission/fork-time failure
-                raise _PoolBroke(error) from error
-            self.metrics.counter("tasks_shipped").add(len(futures))
-            current().add("tasks_shipped", len(futures))
-            for future in as_completed(futures):
-                try:
-                    results[futures[future]] = future.result()
-                except BrokenExecutor as error:
-                    raise _PoolBroke(error) from error
-        except _PoolBroke as broke:
-            warnings.warn(f"search-trial fan-out fell back to serial "
-                          f"execution ({broke})", RuntimeWarning, stacklevel=2)
-            self.metrics.counter("pool_fallbacks").add()
-            self.fallback_reason = str(broke)
-            # Surface the degradation in the ambient session too, so run
-            # summaries can report it after the warning has scrolled away.
-            current().add("search_pool_fallbacks")
-            self.close()
-            self._run_serial(payloads, results)
+        """Execute one batch; results returned in ``payloads`` order."""
+        shipped = self.tasks_shipped
+        results = self.map(payloads)
+        if self.tasks_shipped > shipped:
+            current().add("tasks_shipped", self.tasks_shipped - shipped)
         return results
-
-    def close(self) -> None:
-        """Release the lease or shut the cold pool down (idempotent)."""
-        if self._pool_lease is not None:
-            self._pool_lease.release()
-            self._pool_lease = None
-            self._pool = None
-        elif self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._context_lease is not None:
-            self._context_lease.release()
-            self._context_lease = None
-            self._context_handle = None

@@ -16,30 +16,27 @@ Segment lifecycle: the main process creates one segment per
 workers cache their attachment per segment name (closing the previous one
 when a new chunk arrives) and always copy out of the mapping, so no live
 array ever aliases an unlinked segment.  The evaluation dataset rides in a
-second, *pinned* segment created with the pool and unlinked only when the
-backend closes — its zero-copy worker views outlive every trial chunk.  Workers also unregister attached
-segments from ``multiprocessing.resource_tracker`` — on CPython < 3.13 the
-tracker registers mere attachments and would try to double-unlink them at
-worker shutdown.
+second, *pinned* segment leased from the runtime by content digest: the
+worker context carries its :class:`~repro.execution.pool.DatasetHandle`,
+and workers rebuild the dataset over zero-copy views that stay valid
+while that context is installed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Callable
 
 import numpy as np
 
 from ..data.loader import Dataset
-from ..telemetry import Telemetry, current, using
+from ..telemetry import current
 from .base import TrialResult, register_backend
-from .process import (_init_worker, _pool_context, _WORKER_STATE,
-                      ProcessPoolBackend)
-from .runtime import get_runtime, read_payload
+from .pool import DatasetHandle, _attach
+from .process import ProcessPoolBackend, _evaluate
+from .runtime import get_runtime
 
 __all__ = ["SharedMemoryBackend"]
 
@@ -47,46 +44,8 @@ __all__ = ["SharedMemoryBackend"]
 OffsetTable = dict
 
 
-# --------------------------------------------------------------------------- #
-# Worker-side plumbing.
-# --------------------------------------------------------------------------- #
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
-_PINNED: set[str] = set()
-
-
-def _attach(segment_name: str, pin: bool = False) -> shared_memory.SharedMemory:
-    """Attach to (and cache) one published segment, dropping stale ones.
-
-    Trial segments rotate per chunk, so a new attachment evicts the cached
-    previous one.  Pinned segments (the published evaluation dataset, whose
-    zero-copy views must stay valid for the pool's lifetime) survive the
-    rotation.
-    """
-    segment = _ATTACHED.get(segment_name)
-    if segment is None:
-        for stale in [name for name in _ATTACHED if name not in _PINNED]:
-            _ATTACHED.pop(stale).close()
-        segment = shared_memory.SharedMemory(name=segment_name)
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # Spawned workers run their own resource tracker, which (on
-            # CPython < 3.13) registers mere attachments and would try to
-            # unlink the parent's segment again at worker shutdown.  Forked
-            # workers share the parent's tracker, where the duplicate
-            # registration is a set no-op and unregistering here would make
-            # the parent's own unlink fail instead.
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass  # tracking semantics differ across versions; never fatal
-        _ATTACHED[segment_name] = segment
-        if pin:
-            _PINNED.add(segment_name)
-    return segment
-
-
-def _run_shared_group(segment_name: str, entries: list) -> dict:
+def _evaluate_shared_group(context: dict, message: tuple) -> list[TrialResult]:
+    segment_name, entries = message
     segment = _attach(segment_name)
     pending = {}
     for digest, table in entries:
@@ -98,102 +57,7 @@ def _run_shared_group(segment_name: str, entries: list) -> dict:
             # array aliasing a segment the main process is about to unlink.
             params[name] = np.array(view)
         pending[digest] = params
-    state = _WORKER_STATE
-
-    def evaluate() -> list[TrialResult]:
-        return state["evaluator"].run(state["model"], state["data"],
-                                      state["evaluate_fn"], pending,
-                                      state["injector"].apply_trial)
-
-    # Same result/telemetry envelope as the pickled pool's task function:
-    # capture local spans only when the parent session asked for them.
-    if not state.get("trace"):
-        return {"results": evaluate(), "telemetry": None}
-    telemetry = Telemetry()
-    with using(telemetry):
-        with telemetry.span("task", trials=len(entries)):
-            results = evaluate()
-    return {"results": results, "telemetry": telemetry.snapshot()}
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory dataset publication.
-# --------------------------------------------------------------------------- #
-@dataclass
-class _DatasetHandle:
-    """Pool-initializer stand-in for a published evaluation dataset."""
-
-    segment: str
-    inputs_shape: tuple
-    labels_shape: tuple
-    labels_dtype: str
-    labels_offset: int
-    num_classes: int
-
-
-def _attach_dataset(handle: _DatasetHandle) -> Dataset:
-    """Rebuild the evaluation dataset over zero-copy views of its segment.
-
-    The views are read-only in practice (evaluation never writes inputs or
-    labels) and stay valid because the segment is pinned for the worker's
-    lifetime; ``Dataset`` keeps float64 arrays as-is, so no copy is made.
-    """
-    segment = _attach(handle.segment, pin=True)
-    inputs = np.ndarray(handle.inputs_shape, dtype=np.float64,
-                        buffer=segment.buf)
-    labels = np.ndarray(handle.labels_shape,
-                        dtype=np.dtype(handle.labels_dtype),
-                        buffer=segment.buf, offset=handle.labels_offset)
-    dataset = Dataset(inputs, labels)
-    dataset.num_classes = handle.num_classes
-    return dataset
-
-
-def _init_shared_worker(model, data, evaluate_fn, evaluator=None,
-                        trace: bool = False) -> None:
-    if isinstance(data, _DatasetHandle):
-        data = _attach_dataset(data)
-    _init_worker(model, data, evaluate_fn, evaluator, trace)
-
-
-def _release_stale_pins(keep: set) -> None:
-    """Close pinned dataset attachments not referenced by the new context.
-
-    With warm pools a worker outlives many contexts; only the dataset
-    views of the *currently installed* context are live, so older pinned
-    segments can be detached when a new context arrives — bounding the
-    worker's mapped memory by one dataset, not one per context ever seen.
-    """
-    for name in [name for name in _PINNED if name not in keep]:
-        _PINNED.discard(name)
-        segment = _ATTACHED.pop(name, None)
-        if segment is not None:
-            segment.close()
-
-
-def _install_shared_context(handle: tuple, trace: bool) -> None:
-    """Shared-memory twin of ``process._install_context``.
-
-    The payload's ``data`` slot may be a :class:`_DatasetHandle` pointing
-    at a runtime-owned pinned segment; the worker rebuilds the zero-copy
-    dataset over it exactly as the cold initializer does.
-    """
-    if _WORKER_STATE.get("context_digest") != handle[0]:
-        _WORKER_STATE.pop("context_digest", None)
-        model, data, evaluate_fn, evaluator = read_payload(handle)
-        if isinstance(data, _DatasetHandle):
-            _release_stale_pins(keep={data.segment})
-            data = _attach_dataset(data)
-        _init_worker(model, data, evaluate_fn, evaluator, trace)
-        _WORKER_STATE["context_digest"] = handle[0]
-    else:
-        _WORKER_STATE["trace"] = bool(trace)
-
-
-def _warm_run_shared_group(handle: tuple, trace: bool,
-                           segment_name: str, entries: list) -> dict:
-    _install_shared_context(handle, trace)
-    return _run_shared_group(segment_name, entries)
+    return _evaluate(context, pending)
 
 
 def _dataset_digest(data: Dataset) -> str:
@@ -219,7 +83,7 @@ class SharedMemoryBackend(ProcessPoolBackend):
     packed into one shared-memory segment, and each task carries a pickled
     ``(segment name, [(digest, offset table), ...])`` message of a few
     kilobytes regardless of model depth.  The evaluation dataset itself is
-    published the same way, once, at pool creation — workers rebuild it
+    published the same way, once per content digest — workers rebuild it
     over zero-copy views of a pinned segment instead of unpickling a full
     copy each.  ``bytes_shipped`` counts the task messages plus the pickled
     dataset handle, which is exactly what the ``BENCH_execution`` benchmark
@@ -228,59 +92,35 @@ class SharedMemoryBackend(ProcessPoolBackend):
 
     name = "shared_memory"
     out_of_process = True
+    task_fn = staticmethod(_evaluate_shared_group)
 
-    def __init__(self, workers: int = 2, warm: bool | None = None):
-        super().__init__(workers=workers, warm=warm)
+    def __init__(self, workers: int = 2):
+        super().__init__(workers=workers)
         self._segments: list[shared_memory.SharedMemory] = []
-        self._data_segment: shared_memory.SharedMemory | None = None
-        self._data_lease = None
+        # The runtime lease on the published dataset segment, if any.
+        self._data_segment = None
 
     # ------------------------------------------------------------------ #
-    def _initializer(self):
-        return _init_shared_worker
+    def _worker_context(self) -> dict:
+        """Swap a ``Dataset`` for the handle of its digest-keyed segment.
 
-    def _cold_initargs(self) -> tuple:
-        context = self.context
-        data = context.data
+        A BO run whose weights change every trial then re-ships only the
+        model pickle; the dataset segment is re-leased by content.
+        Non-Dataset evaluation data (e.g. detection sample lists) still
+        travels pickled.
+        """
+        context = super()._worker_context()
+        data = context["data"]
         if isinstance(data, Dataset):
-            # Publish the evaluation data once instead of pickling a
-            # full copy into every worker's initializer; workers
-            # rebuild the dataset over zero-copy views.  Non-Dataset
-            # evaluation data (e.g. detection sample lists) still
-            # travels pickled.
-            segment, handle = self._publish_dataset(data)
-            self._data_segment = segment
+            self._data_segment = get_runtime().lease_segment(
+                _dataset_digest(data), lambda: self._publish_dataset(data))
+            context["data"] = self._data_segment.handle
             self.metrics.counter("bytes_shipped").add(
-                len(pickle.dumps(handle)))
-            data = handle
-        return (context.model, data, context.evaluate_fn,
-                context.evaluator, context.trace)
-
-    def _context_payload(self) -> bytes:
-        """Warm-path context: the dataset leaves the payload for its own
-        digest-keyed pinned segment, so a BO run whose weights change
-        every trial re-ships only the model pickle — the dataset segment
-        is re-leased by content."""
-        context = self.context
-        data = context.data
-        if isinstance(data, Dataset):
-            self._data_lease = get_runtime().lease_segment(
-                _dataset_digest(data),
-                lambda: self._publish_dataset(data))
-            data = self._data_lease.handle
-            self.metrics.counter("bytes_shipped").add(
-                len(pickle.dumps(data)))
-        return pickle.dumps((context.model, data, context.evaluate_fn,
-                             context.evaluator))
-
-    def _submit_message(self, pool: ProcessPoolExecutor, message: tuple):
-        if self._context_handle is not None:
-            return pool.submit(_warm_run_shared_group, self._context_handle,
-                               self.context.trace, *message)
-        return pool.submit(_run_shared_group, *message)
+                len(pickle.dumps(context["data"])))
+        return context
 
     def _publish_dataset(self, data: Dataset
-                         ) -> tuple[shared_memory.SharedMemory, _DatasetHandle]:
+                         ) -> tuple[shared_memory.SharedMemory, DatasetHandle]:
         """Copy the dataset's arrays into one long-lived pinned segment."""
         inputs = np.ascontiguousarray(data.inputs, dtype=np.float64)
         labels = np.ascontiguousarray(data.labels)
@@ -290,9 +130,9 @@ class SharedMemoryBackend(ProcessPoolBackend):
                    buffer=segment.buf)[...] = inputs
         np.ndarray(labels.shape, dtype=labels.dtype, buffer=segment.buf,
                    offset=inputs.nbytes)[...] = labels
-        handle = _DatasetHandle(segment.name, inputs.shape, labels.shape,
-                                str(labels.dtype), inputs.nbytes,
-                                data.num_classes)
+        handle = DatasetHandle(segment.name, inputs.shape, labels.shape,
+                               str(labels.dtype), inputs.nbytes,
+                               data.num_classes)
         return segment, handle
 
     def _publish(self, pending: dict[str, dict]
@@ -326,31 +166,17 @@ class SharedMemoryBackend(ProcessPoolBackend):
         groups = self._group_pending(pending)
         if len(groups) < 2:
             return self._run_in_process(pending, apply_trial)
-        telemetry = current()
-        with telemetry.span("backend", backend=self.name,
-                            tasks=len(groups)) as span:
-            pool = self._ensure_pool(len(groups))
+        with current().span("backend", backend=self.name, tasks=len(groups)):
             segment, tables = self._publish(pending)
-            bytes_counter = self.metrics.counter("bytes_shipped")
             try:
-                futures = []
-                for group in groups:
-                    message = (segment.name,
-                               [(digest, tables[digest])
-                                for digest, _ in group])
-                    bytes_counter.add(len(pickle.dumps(message)))
-                    futures.append(self._submit_message(pool, message))
-                self.metrics.counter("tasks_shipped").add(len(futures))
-                results = []
-                for future in futures:
-                    payload = future.result()
-                    results.extend(payload["results"])
-                    telemetry.absorb(payload["telemetry"], under=span)
+                messages = [(segment.name, [(digest, tables[digest])
+                                            for digest, _ in group])
+                            for group in groups]
+                self.metrics.counter("bytes_shipped").add(
+                    sum(len(pickle.dumps(message)) for message in messages))
+                return self._map(messages)
             finally:
                 self._release(segment)
-            self.used_backend = self.name
-            self.workers_used = self._pool_width
-        return results
 
     def close(self) -> None:
         super().close()
@@ -358,12 +184,8 @@ class SharedMemoryBackend(ProcessPoolBackend):
         # closing the backend must never leak shared memory.
         for segment in list(self._segments):
             self._release(segment)
-        if self._data_lease is not None:
-            # Runtime-owned dataset segment: hand the lease back (the
-            # segment stays published for the next sweep's digest hit).
-            self._data_lease.release()
-            self._data_lease = None
         if self._data_segment is not None:
-            self._data_segment.close()
-            self._data_segment.unlink()
+            # Hand the dataset lease back: the main process keeps the
+            # segment published for the next sweep's digest hit.
+            self._data_segment.release()
             self._data_segment = None

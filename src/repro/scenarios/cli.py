@@ -32,7 +32,7 @@ import sys
 
 from ..data.registry import available_datasets
 from ..evaluation.statistics import curve_auc
-from ..execution import available_backends, configure_runtime
+from ..execution import available_backends
 from ..models.registry import available_models
 from ..telemetry import (
     ProgressReporter,
@@ -84,8 +84,6 @@ def _cmd_list(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def _cmd_run(args) -> int:
-    if args.cold_runtime:
-        configure_runtime(enabled=False)
     store = ResultStore(args.out)
     reporter = None
     if args.progress:
@@ -361,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--progress", action="store_true",
                        help="print live done/total + ETA lines to stderr "
                             "as cells complete")
-    p_run.add_argument("--cold-runtime", action="store_true",
-                       help="opt out of the warm execution runtime: build "
-                            "and tear down a fresh worker pool per sweep "
-                            "instead of leasing persistent ones (results "
-                            "are byte-identical either way)")
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 

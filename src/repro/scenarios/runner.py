@@ -35,7 +35,8 @@ from ..data.loader import train_test_split
 from ..data.registry import build_dataset, dataset_info
 from ..evaluation.detection_metrics import mean_average_precision
 from ..evaluation.sweep import DriftSweepEngine, SweepReport
-from ..execution.cells import CELL_BACKENDS, run_cells
+from ..execution.cells import run_cells
+from ..execution.pool import validate_fanout_backend
 from ..fault.policy import build_policy
 from ..models.registry import build_model
 from ..telemetry import ProgressReporter, current, span_breakdown
@@ -243,11 +244,7 @@ class ScenarioRunner:
         """
         if backend is None or backend == "serial" or len(specs) < 2:
             return [self.run(spec, scenario=scenario) for spec in specs]
-        if backend not in CELL_BACKENDS:
-            raise ValueError(
-                f"cell fan-out supports backends {list(CELL_BACKENDS)}; "
-                f"{backend!r} is a trial-level backend (weight shipping "
-                "does not apply to whole declarative cells)")
+        validate_fanout_backend(backend, "cell")
         for spec in specs:
             if spec.context:
                 raise ValueError(

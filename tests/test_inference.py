@@ -520,30 +520,29 @@ class TestDatasetPublication:
         assert backend._data_segment is None  # nothing was published
 
     def test_worker_views_match_the_published_dataset(self, trained):
-        from repro.execution.shared import (_attach_dataset,
-                                            SharedMemoryBackend)
-        from repro.execution import EvalContext
+        from repro.execution import EvalContext, SharedMemoryBackend
 
         model, test_set = trained
         backend = SharedMemoryBackend(workers=2)
         backend.open(EvalContext(model=model, data=test_set,
                                  evaluate_fn=ClassificationAccuracy()))
+        segment, handle = backend._publish_dataset(test_set)
         try:
-            segment, handle = backend._publish_dataset(test_set)
-            backend._data_segment = segment
-            rebuilt = _attach_dataset(handle)
+            rebuilt = handle.attach()
             np.testing.assert_array_equal(rebuilt.inputs, test_set.inputs)
             np.testing.assert_array_equal(rebuilt.labels, test_set.labels)
             assert rebuilt.num_classes == test_set.num_classes
             # Zero-copy: the rebuilt arrays alias the attached segment.
             assert rebuilt.inputs.base is not None
         finally:
-            from repro.execution.shared import _ATTACHED, _PINNED
+            from repro.execution.pool import _ATTACHED, _PINNED
 
             _PINNED.discard(handle.segment)
             attached = _ATTACHED.pop(handle.segment, None)
             if attached is not None:
                 attached.close()
+            segment.close()
+            segment.unlink()
             backend.close()
 
 

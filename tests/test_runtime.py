@@ -3,12 +3,14 @@
 Three contracts, in descending order of importance:
 
 * **Determinism is untouched.**  Canonical sweep reports, golden BO
-  traces and store bytes are byte-identical with warm reuse on or off —
-  the runtime moves *where* pools and bytes live, never what is
-  evaluated.
-* **Lifecycle hygiene.**  Leases never cross a fork, broken pools are
-  evicted instead of resold, the idle TTL and segment cap actually reap,
-  and ``shutdown()`` leaves no live worker processes and no
+  traces and store bytes are byte-identical to the serial reference on
+  a first lease and on a re-lease, also when a cell worker fans its own
+  sweep out — the runtime moves *where* pools and bytes live, never what
+  is evaluated.
+* **Lifecycle hygiene.**  Only the main process caches (a child's
+  leases are released at once and leave nothing behind), broken pools
+  are evicted instead of resold, the idle TTL and segment cap actually
+  reap, and ``shutdown()`` leaves no live worker processes and no
   ``/dev/shm`` segments behind.
 * **Observability.**  ``pool_reuses`` / ``cold_starts`` /
   ``segment_reuses`` surface through the ambient telemetry session and
@@ -68,9 +70,20 @@ def _canonical(trained, **kwargs) -> str:
 
 
 # Module-level so a leased pool can ship them to its workers.
-def _probe_nested_lease(_):
-    from repro.execution.runtime import get_runtime
-    return get_runtime().lease_pool(2) is None
+def _lease_outside_main(_=None) -> dict:
+    """Lease, use and release a pool and a payload; report what is left."""
+    runtime = get_runtime()
+    pool_lease = runtime.lease_pool(2)
+    payload = runtime.lease_payload(b"child payload")
+    value = pool_lease.pool.submit(max, 1, 2).result()
+    stats = runtime.stats()
+    pids = [proc.pid for proc in pool_lease.pool._processes.values()]
+    pool_lease.release()
+    payload.release()
+    return {"value": value, "stats": stats, "pids": pids,
+            "segment": payload.handle[1],
+            "children": [child.pid
+                         for child in multiprocessing.active_children()]}
 
 
 def _kill_worker(_):
@@ -78,23 +91,55 @@ def _kill_worker(_):
 
 
 def _child_runtime_view(queue):
-    runtime = get_runtime()
-    queue.put({"stats": runtime.stats(),
-               "lease_is_none": runtime.lease_pool(2) is None})
+    queue.put(_lease_outside_main())
+
+
+def _assert_released_outside_main(view: dict) -> None:
+    """The child cached nothing, and its released lease left nothing."""
+    assert view["value"] == 2
+    assert view["stats"]["pools"] == 0
+    assert view["stats"]["segments"] == 0
+    assert view["stats"]["counters"]["cold_starts"] >= 1
+    assert view["pids"] and view["children"] == []
+    for pid in view["pids"]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=view["segment"])
+
+
+def _cell_specs():
+    from repro.scenarios import FaultSpec, ScenarioSpec
+    from repro.utils.config import ExperimentConfig
+
+    train = ExperimentConfig(epochs=1, train_samples=64, test_samples=32,
+                             batch_size=32, learning_rate=0.1)
+    return [ScenarioSpec(name=name, model="mlp", dataset="mnist",
+                         fault=FaultSpec("lognormal"), sigmas=(0.0, 0.8),
+                         trials=2, seed=3, train=train)
+            for name in ("tiny", "tiny2")]
+
+
+def _store_bytes(store) -> dict:
+    return {(spec.name, name): (store.path_for(spec) / name).read_bytes()
+            for spec in _cell_specs()
+            for name in ("spec.json", "report.json")}
+
+
+def _children(pid: int) -> list[int]:
+    """Live child pids of ``pid`` (Linux ``/proc``)."""
+    path = f"/proc/{pid}/task/{pid}/children"
+    with open(path) as handle:
+        return [int(child) for child in handle.read().split()]
 
 
 # --------------------------------------------------------------------------- #
 class TestRuntimeCore:
-    def test_disabled_or_serial_never_leases(self):
-        runtime = ExecutionRuntime(enabled=False)
-        assert runtime.lease_pool(2) is None
-        assert runtime.lease_payload(b"x") is None
-        enabled = ExecutionRuntime(enabled=True)
-        try:
-            assert enabled.lease_pool(0) is None
-            assert enabled.lease_pool(1) is None
-        finally:
-            enabled.shutdown()
+    def test_serial_widths_never_lease(self):
+        with fresh_runtime() as runtime:
+            assert runtime.lease_pool(0) is None
+            assert runtime.lease_pool(1) is None
+            assert runtime.stats()["pools"] == 0
 
     def test_pool_reuse_hands_back_the_same_executor(self):
         with fresh_runtime() as runtime:
@@ -219,17 +264,6 @@ class TestRuntimeCore:
             replacement.release()
             assert runtime.stats()["counters"]["cold_starts"] == 2
 
-    def test_configure_disabled_shuts_down(self):
-        with fresh_runtime() as runtime:
-            runtime.lease_pool(2).release()
-            runtime.configure(enabled=False)
-            assert runtime.stats()["pools"] == 0
-            assert runtime.lease_pool(2) is None
-            runtime.configure(enabled=True)
-            lease = runtime.lease_pool(2)
-            assert lease is not None
-            lease.release()
-
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
     def test_lease_never_crosses_fork(self):
         with fresh_runtime() as runtime:
@@ -239,56 +273,46 @@ class TestRuntimeCore:
             queue = context.Queue()
             child = context.Process(target=_child_runtime_view, args=(queue,))
             child.start()
-            view = queue.get(timeout=30)
+            view = queue.get(timeout=60)
             child.join(timeout=30)
-            # The forked child sees an empty runtime (the parent's pools
-            # were dropped, not closed) and may not lease at all.
-            assert view["stats"]["pools"] == 0
-            assert view["stats"]["segments"] == 0
-            assert view["lease_is_none"]
+            # The forked child dropped (not closed) the parent's pools,
+            # cached nothing of its own, and its lease left nothing behind.
+            _assert_released_outside_main(view)
             # ... and the parent's pool is still alive and usable.
             assert lease.pool.submit(max, 5, 6).result() == 6
             lease.release()
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-    def test_workers_cannot_lease_nested_pools(self):
+    def test_worker_leases_are_uncached_and_leave_nothing(self):
         with fresh_runtime() as runtime:
             lease = runtime.lease_pool(2)
-            assert lease.pool.submit(_probe_nested_lease, None).result()
+            view = lease.pool.submit(_lease_outside_main).result()
+            _assert_released_outside_main(view)
             lease.release()
 
 
 # --------------------------------------------------------------------------- #
 class TestWarmColdIdentity:
-    """Reports are byte-identical with runtime reuse on or off."""
+    """A first lease and a re-lease both match the serial reference."""
 
     @pytest.mark.parametrize("kwargs", [
         dict(backend="process", workers=2),
         dict(backend="process", workers=2, max_chunk_trials=2),
         dict(backend="shared_memory", workers=2),
         # max_chunk_trials=1 would leave every chunk on the single-task
-        # in-process fast path (no pool, warm or cold) — chunk at 2 so the
-        # pool engages while the chunked schedule is still exercised.
+        # in-process fast path (no pool at all) — chunk at 2 so the pool
+        # engages while the chunked schedule is still exercised.
         dict(backend="shared_memory", workers=2, max_chunk_trials=2),
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_sweep_reports_byte_identical(self, trained, kwargs):
-        with fresh_runtime(enabled=False):
-            cold = _canonical(trained, **kwargs)
+        serial = _canonical(trained)
         with fresh_runtime() as runtime:
-            warm_first = _canonical(trained, **kwargs)   # cold start
-            warm_second = _canonical(trained, **kwargs)  # pool + segment reuse
+            first = _canonical(trained, **kwargs)   # cold start
+            second = _canonical(trained, **kwargs)  # pool + segment reuse
             counters = runtime.stats()["counters"]
+            assert counters["cold_starts"] == 1
             assert counters["pool_reuses"] >= 1
-        assert cold == warm_first == warm_second
-
-    def test_backend_opt_out_restores_cold_pools(self, trained):
-        from repro.execution import ProcessPoolBackend
-        with fresh_runtime() as runtime:
-            backend = ProcessPoolBackend(workers=2, warm=False)
-            warm_off = _canonical(trained, backend=backend)
-            assert runtime.stats()["pools"] == 0
-        with fresh_runtime(enabled=False):
-            assert warm_off == _canonical(trained, backend="process", workers=2)
+        assert serial == first == second
 
     def test_async_bo_golden_trace_byte_identical(self):
         from repro.core import (
@@ -298,7 +322,7 @@ class TestWarmColdIdentity:
         train_set, test_set = train_test_split(dataset, test_fraction=0.25,
                                                rng=3)
 
-        def run_search():
+        def run_search(search_workers):
             model = build_mlp(256, depth=3, width=16, num_classes=10, rng=5)
             space = DropoutSearchSpace(model)
             objective = DriftMarginalizedObjective(
@@ -306,45 +330,73 @@ class TestWarmColdIdentity:
                 metric="accuracy", rng=7)
             search = BayesFTSearch(space, objective, train_set,
                                    epochs_per_trial=1, learning_rate=0.1,
-                                   rng=9, suggest_batch=2, search_workers=2)
+                                   rng=9, suggest_batch=2,
+                                   search_workers=search_workers)
             return search.run(n_trials=4).to_json()
 
-        with fresh_runtime(enabled=False):
-            cold = run_search()
+        serial = run_search(0)
         with fresh_runtime() as runtime:
-            warm = run_search()
-            again = run_search()
+            first = run_search(2)
+            again = run_search(2)
             assert runtime.stats()["counters"]["pool_reuses"] >= 1
-        assert cold == warm == again
+        assert serial == first == again
 
     def test_cell_fanout_store_bytes_identical(self, tmp_path):
-        from repro.scenarios import (
-            FaultSpec, ResultStore, ScenarioRunner, ScenarioSpec,
-        )
-        from repro.utils.config import ExperimentConfig
+        from repro.scenarios import ResultStore, ScenarioRunner
 
-        def specs():
-            train = ExperimentConfig(epochs=1, train_samples=64,
-                                     test_samples=32, batch_size=32,
-                                     learning_rate=0.1)
-            return [ScenarioSpec(name=name, model="mlp", dataset="mnist",
-                                 fault=FaultSpec("lognormal"),
-                                 sigmas=(0.0, 0.8), trials=2, seed=3,
-                                 train=train)
-                    for name in ("tiny", "tiny2")]
-
-        blobs = {}
-        for mode in ("cold", "warm"):
-            with fresh_runtime(enabled=(mode == "warm")):
+        serial = ResultStore(tmp_path / "serial")
+        ScenarioRunner(serial).run_specs(_cell_specs(), scenario="s")
+        blobs = {"serial": _store_bytes(serial)}
+        with fresh_runtime():
+            for mode in ("first", "again"):
                 store = ResultStore(tmp_path / mode)
-                ScenarioRunner(store).run_specs(specs(), scenario="s",
+                ScenarioRunner(store).run_specs(_cell_specs(), scenario="s",
                                                 backend="process",
                                                 cell_workers=2)
-                blobs[mode] = {
-                    (spec.name, name): (store.path_for(spec) / name).read_bytes()
-                    for spec in specs()
-                    for name in ("spec.json", "report.json")}
-        assert blobs["cold"] == blobs["warm"]
+                blobs[mode] = _store_bytes(store)
+        assert blobs["serial"] == blobs["first"] == blobs["again"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                        reason="needs Linux /proc to list worker children")
+    def test_nested_fanout_matches_serial_and_leaves_nothing(self, tmp_path):
+        """Cell workers fan their own sweeps out over uncached pools."""
+        from repro.scenarios import ResultStore, ScenarioRunner
+
+        serial_store = ResultStore(tmp_path / "serial")
+        serial = ScenarioRunner(serial_store).run_specs(_cell_specs(),
+                                                        scenario="s")
+        segments_before = set(os.listdir("/dev/shm"))
+        children_before = {child.pid
+                           for child in multiprocessing.active_children()}
+        with fresh_runtime() as runtime:
+            store = ResultStore(tmp_path / "nested")
+            runner = ScenarioRunner(store, workers=2,
+                                    backend="shared_memory")
+            nested = runner.run_specs(_cell_specs(), scenario="s",
+                                      backend="process", cell_workers=2)
+            cell_workers = [pid for entry in runtime._pools.values()
+                            for pid in entry.pool._processes]
+            assert cell_workers
+            # Each cell worker joined the pool it leased for its sweep.
+            for pid in cell_workers:
+                assert _children(pid) == []
+        assert {(run.report.backend, run.report.workers)
+                for run in nested} == {("shared_memory", 2)}
+        assert [run.report.to_json(canonical=True) for run in nested] == \
+            [run.report.to_json(canonical=True) for run in serial]
+        assert _store_bytes(store) == _store_bytes(serial_store)
+        for pid in cell_workers:
+            for _ in range(100):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"cell worker {pid} alive after shutdown()")
+        assert {child.pid for child in multiprocessing.active_children()} \
+            <= children_before
+        assert set(os.listdir("/dev/shm")) <= segments_before
 
 
 # --------------------------------------------------------------------------- #
@@ -373,7 +425,7 @@ class TestObservability:
     def test_cold_single_task_still_reports_configured_cap(self, trained):
         """workers_used is the configured cap even when fewer tasks ship."""
         model, test_set = trained
-        with fresh_runtime(enabled=False):
+        with fresh_runtime():
             report = DriftSweepEngine(model, test_set, trials=1, rng=7,
                                       backend="process", workers=2,
                                       ).run((0.7,))

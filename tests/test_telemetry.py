@@ -428,26 +428,23 @@ class TestRunnerIntegration:
 class TestFallbackSurfacing:
     def test_cell_pool_fallback_recorded_as_counter(self, tmp_path, monkeypatch):
         class BrokenPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, *args, **kwargs):
                 raise BrokenExecutor("no forks today")
 
-        monkeypatch.setattr(cells_module, "ProcessPoolExecutor", BrokenPool)
+        class BrokenLease:
+            pool = BrokenPool()
+
+            def release(self):
+                pass
+
+        # Breakage at submission inside the TaskPool that cell fan-out runs
+        # on: the runtime hands out a pool that cannot take tasks.
+        from repro.execution.runtime import ExecutionRuntime
+        monkeypatch.setattr(ExecutionRuntime, "lease_pool",
+                            lambda self, workers: BrokenLease())
         specs = [tiny_spec(), tiny_spec(name="tiny2", seed=4)]
         telemetry = Telemetry()
-        # The warm runtime would lease a real pool and never touch the
-        # patched constructor; this test targets the cold path's breakage
-        # classification, so opt out for its duration.
-        from repro.execution.runtime import ExecutionRuntime, using_runtime
-        with using_runtime(ExecutionRuntime(enabled=False)), using(telemetry):
+        with using(telemetry):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 results, reason = run_cells(specs, str(tmp_path), None,
