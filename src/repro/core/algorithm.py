@@ -11,13 +11,14 @@ Each outer iteration (a "trial") does:
 
 The best (α, θ) pair seen — judged by the drifted objective — is returned.
 
-With ``suggest_batch=q`` / ``search_workers=k`` the loop runs *batch-
-synchronously*: ``q`` architectures are proposed at once (constant-liar
-fantasies) and evaluated concurrently over ``k`` worker processes, with
-observations committed by ordered replay (:mod:`repro.core.scheduler`) so
-the seeded trace depends on ``q`` but never on ``k``, the backend, or which
-worker finished first.  ``q=1, k≤1`` takes the original sequential path,
-bit-identical to what it always produced.
+With ``suggest_batch=q > 1`` (or an ``early_stop_margin``) the loop runs
+*batch-synchronously*: ``q`` architectures are proposed at once
+(constant-liar fantasies) and evaluated concurrently over
+``search_workers=k`` worker processes, with observations committed by
+ordered replay (:mod:`repro.core.scheduler`) so the seeded trace depends on
+``q`` but never on ``k`` or which worker finished first.  ``q=1`` without a
+margin takes the original sequential path, bit-identical to what it always
+produced, for every ``k``.
 """
 
 from __future__ import annotations
@@ -151,18 +152,15 @@ class BayesFTSearch:
     search_workers:
         ``k``: worker processes evaluating a batch concurrently.  ``0``/``1``
         evaluates the batch in-process.  Never changes seeded results — the
-        canonical trace depends only on ``q``.
-    search_backend:
-        ``None`` derives ``"process"``/``"serial"`` from ``search_workers``;
-        otherwise a name from
-        :data:`~repro.execution.FANOUT_BACKENDS`.  Never changes
-        seeded results.
+        canonical trace depends only on ``q`` (a ``q=1`` batch holds one
+        trial, which always runs in-process).
     early_stop_margin:
-        If set (async mode only), a trial whose σ=0 clean utility falls more
-        than this margin below the best committed objective is terminated
-        without running the ``T``-sample drifted sweep; its recorded value
-        is then the clean utility, flagged in ``trial_terminated``.  By
-        construction a terminated trial can never become the winner.
+        If set (it selects the batch-synchronous loop, also at ``q=1``), a
+        trial whose σ=0 clean utility falls more than this margin below the
+        best committed objective is terminated without running the
+        ``T``-sample drifted sweep; its recorded value is then the clean
+        utility, flagged in ``trial_terminated``.  By construction a
+        terminated trial can never become the winner.
     """
 
     def __init__(self, search_space: DropoutSearchSpace,
@@ -174,7 +172,6 @@ class BayesFTSearch:
                  acquisition: AcquisitionFunction | None = None,
                  warm_start: bool = True, rng=None,
                  suggest_batch: int = 1, search_workers: int = 0,
-                 search_backend: str | None = None,
                  early_stop_margin: float | None = None):
         if optimizer_kind not in ("bayes", "random"):
             raise ValueError("optimizer_kind must be 'bayes' or 'random'")
@@ -196,7 +193,6 @@ class BayesFTSearch:
         self.rng = get_rng(rng)
         self.suggest_batch = int(suggest_batch)
         self.search_workers = int(search_workers)
-        self.search_backend = search_backend
         self.early_stop_margin = early_stop_margin
         bounds = search_space.bounds
         if optimizer_kind == "bayes":
@@ -220,13 +216,15 @@ class BayesFTSearch:
     def run(self, n_trials: int = 10) -> BayesFTResult:
         """Execute the alternating optimisation for ``n_trials`` trials.
 
-        ``suggest_batch=1`` with at most one worker takes the sequential
-        path — bit-identical to the pre-async implementation; anything else
-        runs batch-synchronously through :class:`AsyncTrialScheduler`.
+        The loop is chosen only from what defines the result: ``q=1``
+        without an ``early_stop_margin`` takes the sequential path —
+        bit-identical to the pre-async implementation — whatever
+        ``search_workers`` says; anything else runs batch-synchronously
+        through :class:`AsyncTrialScheduler`.
         """
         if n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if self.suggest_batch == 1 and self.search_workers <= 1:
+        if self.suggest_batch == 1 and self.early_stop_margin is None:
             return self._run_sequential(n_trials)
         return self._run_async(n_trials)
 
@@ -290,8 +288,8 @@ class BayesFTSearch:
         the warm-start base and the early-termination baseline for a batch
         are fixed when the batch is built, and observations are replayed in
         trial-index order — which is why the canonical result depends on
-        ``suggest_batch`` but not on ``search_workers``, the backend, or
-        worker completion order.
+        ``suggest_batch`` but not on ``search_workers`` or worker completion
+        order.
         """
         for required in ("clone", "evaluate_with_clean", "evaluate_clean"):
             if not hasattr(self.objective, required):
@@ -320,8 +318,7 @@ class BayesFTSearch:
             "early_stop_margin": self.early_stop_margin,
         }
         pool = SearchTrialPool(_execute_search_trial, context,
-                               workers=self.search_workers,
-                               backend=self.search_backend)
+                               workers=self.search_workers)
         # Worker-side sweeps report their own (serial) worker counts; the
         # search pool's width is the figure that makes worker utilisation
         # in `trace summarize` honest.

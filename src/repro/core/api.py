@@ -74,14 +74,11 @@ class BayesFT:
         ``k``: worker processes evaluating a suggestion batch concurrently.
         Never changes seeded results — the canonical trace depends only on
         ``suggest_batch``.
-    search_backend:
-        ``None`` derives ``"process"``/``"serial"`` from ``search_workers``;
-        or a :data:`~repro.execution.FANOUT_BACKENDS` name.  Never
-        changes seeded results.
     early_stop_margin:
-        Async-mode early termination: a trial whose clean (σ=0) utility
-        falls more than this margin below the best committed objective
-        skips the drifted sweep (``None`` disables).
+        Early termination in the batch-synchronous loop (which a margin
+        selects even at ``suggest_batch=1``): a trial whose clean (σ=0)
+        utility falls more than this margin below the best committed
+        objective skips the drifted sweep (``None`` disables).
     rng:
         Seed or ``numpy.random.Generator`` shared by training, the search
         and the objective; a fixed seed makes the whole search reproducible.
@@ -96,7 +93,7 @@ class BayesFT:
                  sweep_workers: int = 0, max_chunk_trials: int | None = None,
                  sweep_backend=None, trial_batch: int | None = None,
                  warm_start: bool = True, suggest_batch: int = 1,
-                 search_workers: int = 0, search_backend: str | None = None,
+                 search_workers: int = 0,
                  early_stop_margin: float | None = None, rng=None):
         if not 0.0 < validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in (0, 1)")
@@ -119,7 +116,6 @@ class BayesFT:
         self.warm_start = warm_start
         self.suggest_batch = suggest_batch
         self.search_workers = search_workers
-        self.search_backend = search_backend
         self.early_stop_margin = early_stop_margin
         self.rng = get_rng(rng)
         self.search_: BayesFTSearch | None = None
@@ -149,7 +145,6 @@ class BayesFT:
             optimizer_kind=self.optimizer_kind, warm_start=self.warm_start,
             suggest_batch=self.suggest_batch,
             search_workers=self.search_workers,
-            search_backend=self.search_backend,
             early_stop_margin=self.early_stop_margin,
             rng=self.rng)
         self.result_ = self.search_.run(n_trials=self.n_trials)

@@ -63,14 +63,14 @@ FANOUT_BACKENDS = ("serial", "process")
 _UNFINISHED = object()
 
 
-def validate_fanout_backend(backend: str, layer: str) -> None:
-    """Reject a backend name that a search or cell fan-out cannot use."""
+def validate_fanout_backend(backend: str) -> None:
+    """Reject a backend name that cell fan-out cannot use."""
     if backend not in FANOUT_BACKENDS:
         raise ValueError(
-            f"unknown {layer} backend {backend!r}; {layer} fan-out supports "
+            f"unknown cell backend {backend!r}; cell fan-out supports "
             f"{list(FANOUT_BACKENDS)} (weight shipping such as "
             f"'shared_memory' is a trial-level backend: it applies to each "
-            f"sweep, not to whole {layer} tasks)")
+            f"sweep, not to whole cell tasks)")
 
 
 class PoolBroken(Exception):

@@ -36,7 +36,11 @@ Lifecycle rules, all load-bearing:
 * **Shutdown.**  ``runtime.shutdown()`` joins every pool and unlinks
   every segment; an ``atexit`` hook (registered when the global runtime
   is first built, PID-guarded) guarantees the same at interpreter exit,
-  so no orphan processes or segments survive the owning process.
+  so no orphan processes or segments survive the owning process.  A
+  signal skips ``atexit``, so every pool worker also asks the kernel to
+  end it when its owner dies (``PR_SET_PDEATHSIG`` on Linux); the
+  resource tracker then sees its last client gone and unlinks the
+  owner's segments.
 
 Counters (``pool_reuses`` / ``segment_reuses`` / ``cold_starts`` /
 ``segments_published``) are kept on the runtime's own
@@ -50,10 +54,13 @@ re-lease give canonical reports byte-identical to serial evaluation.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import hashlib
 import multiprocessing
 import os
 import pickle
+import signal
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -120,10 +127,35 @@ def read_payload(handle: tuple) -> object:
         segment.close()
 
 
+#: ``prctl`` option: signal this process when its parent thread exits.
+_PR_SET_PDEATHSIG = 1
+
+
+def _end_with_owner(owner: int) -> None:
+    """Pool-worker initializer: the kernel ends this worker with its owner.
+
+    An idle worker blocks on its call queue, so an owner killed by a
+    signal (no ``atexit`` shutdown) would leave it running.  The death
+    signal fires when the *thread* that forked the worker exits; with
+    ``fork`` a pool forks all its workers in the thread of its first
+    submit, and the runtime is main-thread only.  A no-op off Linux.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError):
+        return
+    prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0)
+    if os.getppid() != owner:
+        os._exit(0)  # the owner died before the request took effect
+
+
 def _new_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=int(workers),
-        mp_context=multiprocessing.get_context(_pool_method()))
+        mp_context=multiprocessing.get_context(_pool_method()),
+        initializer=_end_with_owner, initargs=(os.getpid(),))
 
 
 # --------------------------------------------------------------------------- #

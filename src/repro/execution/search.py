@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..telemetry import current
-from .pool import TaskPool, validate_fanout_backend
+from .pool import TaskPool
 
 __all__ = ["SearchTrialPool"]
 
@@ -36,10 +36,8 @@ class SearchTrialPool(TaskPool):
     task_fn, context:
         As for :class:`~repro.execution.pool.TaskPool`.
     workers:
-        ``0``/``1`` executes in-process; ``n >= 2`` fans out over ``n``.
-    backend:
-        ``None`` derives ``"process"``/``"serial"`` from ``workers``;
-        otherwise a name from :data:`~repro.execution.pool.FANOUT_BACKENDS`.
+        ``0``/``1`` executes in-process; ``n >= 2`` fans out over ``n``
+        processes (``used_backend`` reads ``"serial"`` or ``"process"``).
 
     ``used_backend`` / ``tasks_shipped`` / ``fell_back`` /
     ``fallback_reason`` are volatile scheduling accounting, never part of
@@ -48,20 +46,14 @@ class SearchTrialPool(TaskPool):
     ``search_pool_fallbacks`` counter; later batches stay in-process.
     """
 
-    def __init__(self, task_fn: Callable, context: dict, workers: int = 0,
-                 backend: str | None = None):
+    def __init__(self, task_fn: Callable, context: dict, workers: int = 0):
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if backend is None:
-            backend = "process" if workers >= 2 else "serial"
-        validate_fanout_backend(backend, "search")
-        if workers < 2:
-            backend = "serial"
-        super().__init__(task_fn, context,
-                         width=workers if backend == "process" else 0,
+        fanned = workers >= 2
+        super().__init__(task_fn, context, width=workers if fanned else 0,
                          fallback="search")
         self.workers = int(workers)
-        self.used_backend = backend
+        self.used_backend = "process" if fanned else "serial"
 
     def run_batch(self, payloads: list) -> list:
         """Execute one batch; results returned in ``payloads`` order."""

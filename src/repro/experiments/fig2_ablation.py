@@ -54,6 +54,7 @@ def _cell_spec(figure: str, label: str, config: ExperimentConfig, seed: int,
     variant's construction and training, so a cell's weights depend on
     *which other variants ran before it*; anything that alters that
     sequence must enter the hash or the store would serve stale curves.
+    How the sweep is scheduled is not part of it: that is the runner's.
     """
     from ..scenarios.spec import ScenarioSpec
 
@@ -61,8 +62,6 @@ def _cell_spec(figure: str, label: str, config: ExperimentConfig, seed: int,
         name=label, model=model, dataset="mnist",
         sigmas=tuple(config.sigma_grid), trials=config.drift_trials,
         seed=config.seed, train=config,
-        workers=int(config.extra.get("sweep_workers", 0)),
-        max_chunk_trials=config.extra.get("sweep_chunk_trials"),
         context={"figure": figure, "harness_seed": seed,
                  **(variants or {})})
 
@@ -80,8 +79,7 @@ def _train_and_sweep(model, train_set, test_set, label, config, rng,
     # Common random numbers: every variant is evaluated with the same drift
     # samples, so the comparison between curves is paired and low-variance.
     # (The engine pre-draws all samples, so this also holds for any worker
-    # count or chunk size — see config.extra["sweep_workers"] and
-    # config.extra["sweep_chunk_trials"].)
+    # count or chunk size the runner schedules the sweep with.)
     evaluation_rng = np.random.default_rng(config.seed + 99991)
     spec = _cell_spec(figure, label, config, seed, model=model_name,
                       variants=variants)

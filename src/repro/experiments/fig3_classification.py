@@ -68,7 +68,9 @@ def _cell_spec(panel: str, method_label: str, model_name: str, dataset_name: str
     ``methods`` is part of the lineage: the harness threads one RNG through
     every method's model construction and training, so a cell's weights
     depend on which methods ran before it — a ``methods=(...)`` subset must
-    hash differently from the full panel.
+    hash differently from the full panel.  ``config`` carries the BO
+    suggestion batch when it is not 1, so a q=2 panel never answers a q=1
+    run; scheduling is the runner's and stays out of the spec.
     """
     from ..scenarios.spec import ScenarioSpec
 
@@ -76,8 +78,6 @@ def _cell_spec(panel: str, method_label: str, model_name: str, dataset_name: str
         name=method_label, model=model_name, dataset=dataset_name,
         sigmas=tuple(config.sigma_grid), trials=config.drift_trials,
         seed=seed, train=config,
-        workers=int(config.extra.get("sweep_workers", 0)),
-        max_chunk_trials=config.extra.get("sweep_chunk_trials"),
         context={"figure": f"fig3_{panel}", "harness_seed": seed,
                  "methods": list(methods)})
 
@@ -98,7 +98,11 @@ def run_classification_comparison(panel: str, config: ExperimentConfig | None = 
         Override the method list (default: the paper's set for that panel).
     runner:
         Optional :class:`~repro.scenarios.runner.ScenarioRunner`; its result
-        store then caches each method's sweep.
+        store then caches each method's sweep, and its scheduling (sweep
+        workers, chunk bound, ``search_workers`` for the BayesFT search)
+        runs the panel.  The BO suggestion batch is
+        ``config.extra["suggest_batch"]`` (default 1): it changes the
+        search, so it is part of every cell's identity.
     """
     if panel not in FIG3_PANELS:
         raise ValueError(f"unknown panel {panel!r}; choose from {sorted(FIG3_PANELS)}")
@@ -134,10 +138,11 @@ def run_classification_comparison(panel: str, config: ExperimentConfig | None = 
                                # short CPU training budget from learning at
                                # all; cap the search range accordingly.
                                max_dropout_rate=float(config.extra.get("max_dropout_rate", 0.5)),
-                               # Async-search scheduling knobs (never part of
-                               # the cell identity; see ScenarioSpec).
+                               # q shapes the search (it is in the config,
+                               # so in every cell's hash); the worker count
+                               # is the runner's scheduling.
                                suggest_batch=int(config.extra.get("suggest_batch", 1)),
-                               search_workers=int(config.extra.get("search_workers", 0)),
+                               search_workers=int(runner.search_workers or 0),
                                rng=rng)
             searcher.fit(model, train_set)
             label = "BayesFT"
@@ -149,7 +154,7 @@ def run_classification_comparison(panel: str, config: ExperimentConfig | None = 
         # Common random numbers across methods: every method's sweep sees the
         # same drift samples, making the Figure-3 comparison paired.  The
         # engine pre-draws all samples in the main process, so the pairing is
-        # preserved for any sweep_workers or sweep_chunk_trials setting (the
+        # preserved for any worker count or chunk bound the runner uses (the
         # latter bounds memory for the deep PreAct panels).
         evaluation_rng = np.random.default_rng(seed + 77771)
         spec = _cell_spec(panel, label, model_name, dataset_name, config, seed,

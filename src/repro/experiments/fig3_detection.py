@@ -34,15 +34,17 @@ _EVALUATION_SEED_OFFSET = 55551
 
 def _cell_spec(method_label: str, config: ExperimentConfig, seed: int,
                sigmas: tuple, image_size: int, n_images: int):
-    """Identity of one detection sweep for the scenario result store."""
+    """Identity of one detection sweep for the scenario result store.
+
+    Scheduling (sweep workers, chunk bound) is the runner's, never the
+    cell's.
+    """
     from ..scenarios.spec import ScenarioSpec
 
     return ScenarioSpec(
         name=method_label, model="detector", dataset="pedestrians",
         metric="map", sigmas=tuple(sigmas), trials=config.drift_trials,
         seed=seed, train=config, image_size=image_size,
-        workers=int(config.extra.get("sweep_workers", 0)),
-        max_chunk_trials=config.extra.get("sweep_chunk_trials"),
         context={"figure": "fig3_detection", "harness_seed": seed,
                  "n_images": n_images})
 

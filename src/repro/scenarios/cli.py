@@ -99,13 +99,18 @@ def _cmd_run(args) -> int:
                             backend=args.backend,
                             trial_batch=args.trial_batch,
                             search_workers=args.search_workers,
-                            suggest_batch=args.suggest_batch,
                             progress=None if args.json else print,
                             reporter=reporter)
     # Figure scenarios default to the fast config (scenario.default_config);
     # --full runs the harness at its own full-scale default.  Grid cells
     # embed their training config in the spec and ignore this.
     config = ExperimentConfig() if args.full else None
+    if args.suggest_batch not in (None, 1):
+        # q changes what a BayesFT search finds, so it is harness config
+        # (and part of each cell's hash), not a runner setting; q=1 is the
+        # harness default and keys cells exactly as no flag does.
+        config = config or get_scenario(args.scenario).default_config()
+        config.extra["suggest_batch"] = args.suggest_batch
     cell_backend = "process" if (args.cell_workers or 0) >= 2 else None
 
     def _run():
@@ -347,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="suggest_batch",
                        help="architectures proposed per BO round via "
                             "constant-liar batch suggestion (1 = the "
-                            "sequential paper loop)")
+                            "sequential paper loop; part of each cell's "
+                            "identity)")
     p_run.add_argument("--full", action="store_true",
                        help="figure scenarios: run the harness at its "
                             "full-scale default config instead of the fast "

@@ -94,21 +94,19 @@ class ScenarioRunner:
         Optional :class:`ResultStore`; without one every cell is executed
         fresh and nothing is persisted (the figure harnesses default to
         this, keeping them side-effect free).
-    workers, max_chunk_trials, backend, trial_batch:
-        Scheduling overrides applied to every cell (``None`` defers to the
-        spec); ``backend`` names a :mod:`repro.execution` trial backend
-        (``serial``/``process``/``shared_memory``), ``trial_batch`` how
-        many trials each stacked forward pass evaluates.  They never change
-        results — the engine's determinism contract — and never enter the
-        spec hash.
-    search_workers, suggest_batch:
-        Async BO-search scheduling for figure scenarios whose harness runs a
-        BayesFT search (fig3): ``suggest_batch`` architectures proposed per
-        round, evaluated over ``search_workers`` processes.  Injected into
-        the harness config's ``extra`` (and stripped from cell hashes like
-        the other scheduling extras).  ``search_workers`` never changes
-        seeded results; the canonical trace depends only on
-        ``suggest_batch``.
+    workers, max_chunk_trials, backend, trial_batch, search_workers:
+        How every cell is scheduled.  ``workers``/``backend`` pick the
+        sweep's trial fan-out (``serial``/``process``/``shared_memory``),
+        ``max_chunk_trials`` bounds pre-drawn weight copies and
+        ``trial_batch`` how many trials each stacked forward pass
+        evaluates; ``search_workers`` is the process count over which a
+        figure harness's BayesFT search evaluates each suggestion batch.
+        The runner is the only place scheduling is set: it never changes
+        results (the engine's and the search scheduler's determinism
+        contract) and never enters a spec hash.  What *does* change a
+        search — its suggestion batch ``q`` — is part of the harness
+        config (``config.extra["suggest_batch"]``) and so of every cell's
+        identity.
     progress:
         Optional ``callable(str)`` receiving one line per cell (the CLI
         passes ``print``).
@@ -124,7 +122,6 @@ class ScenarioRunner:
                  backend: str | None = None,
                  trial_batch: int | None = None,
                  search_workers: int | None = None,
-                 suggest_batch: int | None = None,
                  progress: Callable[[str], None] | None = None,
                  reporter: ProgressReporter | None = None):
         self.store = store
@@ -133,7 +130,6 @@ class ScenarioRunner:
         self.backend = backend
         self.trial_batch = trial_batch
         self.search_workers = search_workers
-        self.suggest_batch = suggest_batch
         self.progress = progress
         self.reporter = reporter
         #: Every cell this runner has resolved, in execution order.
@@ -149,15 +145,9 @@ class ScenarioRunner:
             self.progress(message)
 
     def _engine_kwargs(self, spec: ScenarioSpec) -> dict:
-        workers = self.workers if self.workers is not None else spec.workers
-        max_chunk = (self.max_chunk_trials if self.max_chunk_trials is not None
-                     else spec.max_chunk_trials)
-        backend = self.backend if self.backend is not None else spec.backend
-        trial_batch = (self.trial_batch if self.trial_batch is not None
-                       else spec.trial_batch)
-        kwargs = dict(trials=spec.trials, workers=int(workers),
-                      max_chunk_trials=max_chunk, backend=backend,
-                      trial_batch=trial_batch,
+        kwargs = dict(trials=spec.trials, workers=int(self.workers or 0),
+                      max_chunk_trials=self.max_chunk_trials,
+                      backend=self.backend, trial_batch=self.trial_batch,
                       drift_factory=self._drift_factory(spec))
         if spec.metric == "map":
             kwargs["evaluate_fn"] = functools.partial(mean_average_precision,
@@ -244,7 +234,7 @@ class ScenarioRunner:
         """
         if backend is None or backend == "serial" or len(specs) < 2:
             return [self.run(spec, scenario=scenario) for spec in specs]
-        validate_fanout_backend(backend, "cell")
+        validate_fanout_backend(backend)
         for spec in specs:
             if spec.context:
                 raise ValueError(
@@ -260,15 +250,14 @@ class ScenarioRunner:
         executed: dict[str, dict] = {}
         if missing:
             store_root = None if self.store is None else str(self.store.root)
-            # Worker-side runners inherit this runner's scheduling
-            # overrides, so e.g. --chunk-trials keeps bounding memory and
-            # --backend keeps choosing the trial backend inside each cell.
+            # Worker-side runners inherit this runner's scheduling, so
+            # e.g. --chunk-trials keeps bounding memory and --backend keeps
+            # choosing the trial backend inside each cell.
             runner_kwargs = dict(workers=self.workers,
                                  max_chunk_trials=self.max_chunk_trials,
                                  backend=self.backend,
                                  trial_batch=self.trial_batch,
-                                 search_workers=self.search_workers,
-                                 suggest_batch=self.suggest_batch)
+                                 search_workers=self.search_workers)
             on_cell = None
             if self.reporter is not None:
                 on_cell = lambda payload: self.reporter.advance()  # noqa: E731
@@ -425,13 +414,5 @@ class ScenarioRunner:
                 raise ValueError(
                     f"figure scenario {scenario.name!r} cannot fan out cells: "
                     "its harness threads one RNG through all variants")
-            if self.search_workers is not None or self.suggest_batch is not None:
-                # Harnesses read async-search scheduling from config.extra;
-                # explicit keys already in the config win over overrides.
-                config = config or scenario.default_config()
-                if self.search_workers is not None:
-                    config.extra.setdefault("search_workers", self.search_workers)
-                if self.suggest_batch is not None:
-                    config.extra.setdefault("suggest_batch", self.suggest_batch)
             run_figure_scenario(scenario, self, config=config, seed=seed)
         return self.runs[first:]

@@ -188,18 +188,15 @@ class ScenarioSpec:
     harness seed) — cells with a non-empty context are *produced by* their
     harness and cannot be re-executed from the spec alone.
 
-    **Identity vs scheduling.**  :meth:`spec_hash` covers every field that
-    determines the numbers — model, dataset, fault, per-layer ``policy``,
-    grid, trials, seed, metric, training recipe, context — and deliberately
-    excludes ``workers``, ``max_chunk_trials``, ``backend``,
-    ``trial_batch``, ``search_workers`` and ``suggest_batch``: the sweep
-    engine and the async search scheduler guarantee bit-identical results
-    for any worker count, chunk size, execution backend, trial-batch size
-    or search-worker count, so scheduling knobs must never fragment the
-    result store.  (``suggest_batch`` *does* change the BO suggestion
-    sequence, but it is a scheduling choice of a figure-harness run, not
-    part of a declarative cell's identity — harness cells record their
-    lineage in ``context``.)
+    **Identity only.**  A spec names *what* a cell computes, never *how*
+    it is scheduled: :meth:`spec_hash` covers every field — model,
+    dataset, fault, per-layer ``policy``, grid, trials, seed, metric,
+    training recipe (``train.extra`` included, so a harness's BO
+    ``suggest_batch`` keys its cells) and context.  Worker counts, chunk
+    bounds, trial backends and batches live on the
+    :class:`~repro.scenarios.runner.ScenarioRunner` that executes the
+    cell; the engine and the search scheduler guarantee bit-identical
+    results for any of them, so they never fragment the result store.
     """
 
     name: str
@@ -222,16 +219,12 @@ class ScenarioSpec:
     dataset_kwargs: dict = field(default_factory=dict)
     train: ExperimentConfig = field(default_factory=ExperimentConfig)
     context: dict = field(default_factory=dict)
-    # Scheduling knobs — excluded from spec_hash (see class docstring).
-    workers: int = 0
-    max_chunk_trials: int | None = None
-    backend: str | None = None
-    trial_batch: int | None = None
-    search_workers: int | None = None
-    suggest_batch: int | None = None
 
-    _SCHEDULING_EXTRAS = ("sweep_workers", "sweep_chunk_trials",
-                          "search_workers", "suggest_batch")
+    #: Scheduling fields that older ``spec.json`` files carry; they never
+    #: entered the hash, so reading such a file drops them.
+    _LEGACY_SCHEDULING_KEYS = ("workers", "max_chunk_trials", "backend",
+                               "trial_batch", "search_workers",
+                               "suggest_batch")
 
     def __post_init__(self):
         if isinstance(self.fault, (dict, str)):
@@ -276,18 +269,13 @@ class ScenarioSpec:
             "dataset_kwargs": dict(self.dataset_kwargs),
             "train": self.train.to_dict(),
             "context": dict(self.context),
-            "workers": self.workers,
-            "max_chunk_trials": self.max_chunk_trials,
-            "backend": self.backend,
-            "trial_batch": self.trial_batch,
-            "search_workers": self.search_workers,
-            "suggest_batch": self.suggest_batch,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         data = dict(data)
-        data.pop("schema_version", None)
+        for key in ("schema_version", *cls._LEGACY_SCHEDULING_KEYS):
+            data.pop(key, None)
         return cls(**data)
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -299,22 +287,8 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------ #
     def hash_dict(self) -> dict:
-        """The identity payload: everything except scheduling knobs.
-
-        Scheduling hints that ride along inside ``train.extra``
-        (``sweep_workers`` / ``sweep_chunk_trials``, used by the figure
-        harnesses) are stripped for the same reason ``workers`` is.
-        """
+        """The identity payload: :meth:`to_dict` plus the schema version."""
         data = self.to_dict()
-        data.pop("workers")
-        data.pop("max_chunk_trials")
-        data.pop("backend")
-        data.pop("trial_batch")
-        data.pop("search_workers")
-        data.pop("suggest_batch")
-        data["train"]["extra"] = {
-            key: value for key, value in data["train"]["extra"].items()
-            if key not in self._SCHEDULING_EXTRAS}
         data["schema_version"] = SPEC_SCHEMA_VERSION
         return data
 

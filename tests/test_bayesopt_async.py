@@ -4,12 +4,12 @@ Three contracts, in the style of ``tests/test_execution.py`` /
 ``tests/test_inference.py``:
 
 * **Pre-PR byte-identity** — the sequential paths (``BayesianOptimizer``
-  with ``suggest()`` and ``BayesFTSearch`` with ``suggest_batch=1,
-  search_workers<=1``) reproduce, byte for byte, golden traces captured
+  with ``suggest()`` and ``BayesFTSearch`` with ``suggest_batch=1`` for
+  any ``search_workers``) reproduce, byte for byte, golden traces captured
   from the implementation *before* batch suggestion existed.
 * **Ordered observation replay** — a seeded ``(q, k)`` async search yields
-  one canonical ``BayesFTResult`` regardless of worker count, backend or
-  worker completion order; the canonical trace depends only on ``q``.
+  one canonical ``BayesFTResult`` regardless of worker count or worker
+  completion order; the canonical trace depends only on ``q``.
 * **Constant-liar bookkeeping** — fantasised observations steer batch
   suggestion but never leak into the trace, ``best_*`` accessors or the
   aggregated objective stats; early termination never changes the winner.
@@ -98,13 +98,17 @@ class TestGoldenByteIdentity:
         assert trace.to_json() == GOLDEN_OPTIMIZER_TRACE
 
     def test_sync_search_byte_identical_to_pre_pr(self, split):
-        result = make_search(split).run(n_trials=4)
-        # The golden was captured before trial_terminated existed; the
-        # sequential path fills it with all-False, which is asserted apart.
-        canonical = result.canonical_dict()
-        assert canonical.pop("trial_terminated") == [False] * 4
-        got = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-        assert got == GOLDEN_SYNC_SEARCH
+        # At q=1 the worker count never picks the loop: k=2 runs the same
+        # sequential search as k=0.
+        for search_workers in (0, 2):
+            result = make_search(split, search_workers=search_workers).run(
+                n_trials=4)
+            # The golden was captured before trial_terminated existed; the
+            # sequential path fills it with all-False, asserted apart.
+            canonical = result.canonical_dict()
+            assert canonical.pop("trial_terminated") == [False] * 4
+            got = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+            assert got == GOLDEN_SYNC_SEARCH, search_workers
 
     def test_trace_json_roundtrip(self):
         trace = OptimizationTrace()
@@ -119,14 +123,14 @@ class TestGoldenByteIdentity:
 class TestOrderedObservationReplay:
     def test_async_byte_identical_across_workers_and_backends(self, split):
         """The acceptance contract: one canonical trace per seeded (q,)
-        configuration, whatever k, backend or completion order did."""
+        configuration, whatever k or completion order did."""
         reference = {
             q: make_search(split, suggest_batch=q).run(n_trials=4).to_json()
             for q in (2, 3)}
         variants = [
             dict(suggest_batch=2, search_workers=2),
             dict(suggest_batch=2, search_workers=3),
-            dict(suggest_batch=2, search_workers=2, search_backend="serial"),
+            dict(suggest_batch=2, search_workers=1),
             dict(suggest_batch=3, search_workers=2),
         ]
         for kwargs in variants:
@@ -410,11 +414,6 @@ class TestSearchTrialPool:
         with pytest.raises(RuntimeError, match="trial exploded"):
             pool.run_batch([{"index": 0}, {"index": 1}])
         pool.close()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown search backend"):
-            SearchTrialPool(_square_task, {}, workers=2,
-                            backend="shared_memory")
 
 
 # --------------------------------------------------------------------------- #

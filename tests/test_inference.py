@@ -444,18 +444,14 @@ class TestDeployTrialBatch:
 class TestSpecTrialBatch:
     def test_trial_batch_never_enters_the_spec_hash(self):
         from repro.scenarios import ScenarioSpec
+        from repro.scenarios.runner import ScenarioRunner
 
-        base = ScenarioSpec(name="cell", model="mlp", dataset="mnist")
-        batched = ScenarioSpec(name="cell", model="mlp", dataset="mnist",
-                               trial_batch=8)
-        assert base.spec_hash() == batched.spec_hash()
-        assert batched.to_dict()["trial_batch"] == 8
-
-    def test_spec_roundtrips_trial_batch(self):
-        from repro.scenarios import ScenarioSpec
-
-        spec = ScenarioSpec(name="cell", trial_batch=4)
-        assert ScenarioSpec.from_json(spec.to_json()).trial_batch == 4
+        spec = ScenarioSpec(name="cell", model="mlp", dataset="mnist")
+        legacy = dict(spec.to_dict(), trial_batch=8)
+        assert ScenarioSpec.from_dict(legacy).spec_hash() == spec.spec_hash()
+        assert "trial_batch" not in ScenarioSpec.from_dict(legacy).to_dict()
+        assert ScenarioRunner(None, trial_batch=8)._engine_kwargs(
+            spec)["trial_batch"] == 8
 
     def test_cli_parser_accepts_trial_batch(self):
         from repro.scenarios.cli import build_parser
@@ -465,13 +461,16 @@ class TestSpecTrialBatch:
         assert args.trial_batch == 6
 
     def test_runner_override_wins_over_spec(self):
+        """A spec.json that still records a trial batch never schedules:
+        the runner alone does."""
         from repro.scenarios import ScenarioSpec
         from repro.scenarios.runner import ScenarioRunner
 
-        spec = ScenarioSpec(name="cell", trial_batch=2)
+        spec = ScenarioSpec.from_dict(
+            dict(ScenarioSpec(name="cell").to_dict(), trial_batch=2))
         runner = ScenarioRunner(None, trial_batch=5)
         assert runner._engine_kwargs(spec)["trial_batch"] == 5
-        assert ScenarioRunner(None)._engine_kwargs(spec)["trial_batch"] == 2
+        assert ScenarioRunner(None)._engine_kwargs(spec)["trial_batch"] is None
 
 
 # --------------------------------------------------------------------------- #

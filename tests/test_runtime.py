@@ -23,6 +23,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from multiprocessing import shared_memory
@@ -40,6 +43,22 @@ from repro.models import build_mlp
 from repro.training import train_classifier
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+# Leases a 2-wide pool and a payload segment, reports the worker pids and
+# the segment name, then waits to be killed.
+OWNER_SCRIPT = """
+import time
+from repro.execution.runtime import get_runtime
+runtime = get_runtime()
+lease = runtime.lease_pool(2)
+assert lease.pool.submit(max, 1, 2).result() == 2
+payload = runtime.lease_payload(b"owner payload")
+pids = [proc.pid for proc in lease.pool._processes.values()]
+print(*pids, payload.handle[1], flush=True)
+time.sleep(600)
+"""
 
 
 @contextmanager
@@ -124,6 +143,15 @@ def _store_bytes(store) -> dict:
     return {(spec.name, name): (store.path_for(spec) / name).read_bytes()
             for spec in _cell_specs()
             for name in ("spec.json", "report.json")}
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _children(pid: int) -> list[int]:
@@ -281,6 +309,35 @@ class TestRuntimeCore:
             # ... and the parent's pool is still alive and usable.
             assert lease.pool.submit(max, 5, 6).result() == 6
             lease.release()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the owner-death signal is Linux only")
+    def test_sigterm_to_the_owner_leaves_no_workers_or_segments(self):
+        """A signal skips the atexit shutdown; the workers die anyway."""
+        segments_before = set(os.listdir("/dev/shm"))
+        owner = subprocess.Popen(
+            [sys.executable, "-c", OWNER_SCRIPT], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            *pids, segment = owner.stdout.readline().split()
+            pids = [int(pid) for pid in pids]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            assert segment in os.listdir("/dev/shm")
+            owner.send_signal(signal.SIGTERM)
+            owner.wait(timeout=5)
+        finally:
+            owner.kill()
+            owner.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and (
+                any(_running(pid) for pid in pids)
+                or set(os.listdir("/dev/shm")) - segments_before):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)  # leave nothing behind on failure
+        assert survivors == []
+        assert set(os.listdir("/dev/shm")) <= segments_before
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
     def test_worker_leases_are_uncached_and_leave_nothing(self):

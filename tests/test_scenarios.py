@@ -3,7 +3,8 @@
 The load-bearing guarantees:
 
 * ``ScenarioSpec`` round-trips through JSON and its content hash is stable
-  against key order and scheduling knobs;
+  against key order and scheduling (which lives on the runner, never on
+  the spec), while a BayesFT search's suggestion batch keys its cells;
 * the result store resumes (skips) completed cells, detects corruption with
   a labeled error, and stores **byte-identical** report files for any
   worker count (the determinism contract made auditable on disk);
@@ -26,6 +27,89 @@ from repro.scenarios import (
 from repro.scenarios.cli import main
 from repro.scenarios.store import VOLATILE_REPORT_FIELDS
 from repro.utils.config import ExperimentConfig
+
+#: spec_hash of every grid-scenario cell, captured before the scheduling
+#: fields left ScenarioSpec: removing them must not re-key a stored cell.
+GRID_CELL_HASHES = {
+    "dataset_matrix@0": (
+        "6d8f9ff35a55ea4b1348168d3c9770f728f3b39bee29ea9d198a4665d5500f24",
+        "110b8f40865e941b07847dc9381ee93461300b2bfae55a05d83fafe19db63db6",
+        "dc1a193ba3da6dde742095c9ec01873098c222c75fa15126190d05bdc03ddd7e",
+    ),
+    "dataset_matrix@1": (
+        "0f8b64dfe1e6d4381c1627919179485ad2e5b4beab436599a358968c3488bcf6",
+        "9602fa2ce13d7a409f9d9649538249b250a62fcc00ad7c1dec1a1aaae84b8d97",
+        "ac5ab7d96deea6a2df5a0c5f1c23b36cacc5b70b01857f2fffc216df56c687bb",
+    ),
+    "dataset_matrix@7": (
+        "02cb64dda2b3ab8067bee1c86718fc8b9196a8eb8f222ad7d3e1de2194bce18b",
+        "631e6a0050c4b379ff5c291d8e209c461c65e46814d0ba2a3e8945b00a0cc5ac",
+        "57a824e3525631982ef6a154340da980d5237a975c73a49657cb21f83c91cc61",
+    ),
+    "detection_smoke@0": (
+        "cd490cd4892b72166ef47a69064ecad12abe0671a4d60014492538dcf0f5bdf1",
+    ),
+    "detection_smoke@1": (
+        "6de9c70ba455bd8f61c133bbdd290046e0c2016b33d065a3d14282ec879cfa03",
+    ),
+    "detection_smoke@7": (
+        "895c60e2fb9eeb79a46c17e39d140464f1cf5f7281936af106870c771640ac3f",
+    ),
+    "fault_matrix@0": (
+        "a28e9c9763746c85ea050920267d7557a9b460e047a91c40c31f2f8b3ce13217",
+        "ed76f3d2e16d80fbcb76e5a981b9b729cf2008ec80ed735b70881a0b1aeade08",
+        "52f5db3469058dba6ae7c2bbb9c627b885aafccd1cf27064d8a476cca9464b96",
+        "01f480ddacea4e251aaf991940b34ec075c408ad1bb21b299a9f978563f903ea",
+        "e7f9a94e9edab6f0136e59197458ee1c2ae6e194a243894fd80a16b17ba0ce46",
+        "171bd14c4d98c4f88a05c93dc3b24c6412768ed82dafe92e22c24f13a3b3ceb4",
+    ),
+    "fault_matrix@1": (
+        "f57943c197e31145bb28fea1969d7036dab6657305904de80f7fcec51534dcfc",
+        "8b233ac8d629f22333ff7da83dce315c3bd90df9f73767c06e0f2005c71d4eda",
+        "6cbef7da0343abf34e60b518d4902b9c03202a681ea924e96051ca53c60db804",
+        "c8b90cf47420a72052d2e7c73874491940a13514d9dbf48537de340e1ac59471",
+        "882f7da1d94f5a866f100416373f8337d0e1baeb1b04d1ea8d87717b8abd7e38",
+        "bffcc1109acf18f0a15563ec429bcda7d1d7028f9b961642a66bb4c0f2a15b02",
+    ),
+    "fault_matrix@7": (
+        "87008a5eda1a8e9f48ac7a23deb5f198275b3b3c9a7bca2f117ada0f5b581186",
+        "1b41d805d9b8d1bdfaec8afe8d433466c2078fed073813ef6070261577cbc7c4",
+        "91c61c0960cbfa5acad5fe4e2b98363d182d2116e14267e59449bf51e6275394",
+        "cecde4e380ad41005459e210a916e591beb243d45673fb94a9e6245f131948e2",
+        "de25494e0bcdb8baa44596d8c5b90b2e54f4f9b48bb1ef037d1d15800d580ea2",
+        "f372617b6aa949a36f48c34a695470b07e4dc90e3f99e56f43ab8476af4f7b54",
+    ),
+    "smoke@0": (
+        "7a9f360fb443e309221311987c7da236fed11fe1a9ec307d43f76950540fd22d",
+    ),
+    "smoke@1": (
+        "e2a5dcc1cdb60487fd7fa5a24cad2176dbb518c7cd1ac94b982dd46b74cec789",
+    ),
+    "smoke@7": (
+        "e4c78182d4b39d15850b77c3a54e9f0acdeb56cb2bc087d3de8070b99fe33852",
+    ),
+}
+
+#: A spec.json as the store wrote it while ScenarioSpec still carried six
+#: scheduling fields (here with non-default values), and the hash its
+#: entry was filed under.
+LEGACY_SPEC_JSON = {
+    "name": "tiny", "model": "mlp", "dataset": "mnist",
+    "fault": {"kind": "lognormal"}, "sigmas": [0.0, 0.8], "trials": 2,
+    "seed": 3, "metric": "accuracy", "image_size": 16, "num_classes": None,
+    "policy": None, "model_kwargs": {}, "dataset_kwargs": {},
+    "train": {"seed": 0, "epochs": 1, "batch_size": 32,
+              "learning_rate": 0.1, "momentum": 0.9, "optimizer": "sgd",
+              "weight_decay": 0.0, "train_samples": 64, "test_samples": 32,
+              "monte_carlo_samples": 3, "bo_trials": 8,
+              "sigma_grid": [0.0, 0.3, 0.6, 0.9, 1.2, 1.5],
+              "drift_trials": 5, "extra": {}},
+    "context": {}, "workers": 2, "max_chunk_trials": 1,
+    "backend": "process", "trial_batch": 2, "search_workers": None,
+    "suggest_batch": None,
+}
+LEGACY_SPEC_HASH = \
+    "fcd5b79a031ee8ae10fc9e574216c5db2a0d458eaddb94c4cbc9f882beb1bd37"
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -99,36 +183,43 @@ class TestScenarioSpec:
         assert ScenarioSpec.from_dict(
             json.loads(json.dumps(shuffled))).spec_hash() == spec.spec_hash()
 
-    def test_hash_ignores_scheduling_knobs(self):
-        base = tiny_spec()
-        assert tiny_spec(workers=4).spec_hash() == base.spec_hash()
-        assert tiny_spec(max_chunk_trials=1).spec_hash() == base.spec_hash()
-        config = ExperimentConfig(
-            epochs=1, train_samples=64, test_samples=32,
-            extra={"sweep_workers": 8, "sweep_chunk_trials": 2})
-        assert tiny_spec(train=config).spec_hash() == tiny_spec(
-            train=ExperimentConfig(epochs=1, train_samples=64,
-                                   test_samples=32)).spec_hash()
+    def test_hash_ignores_scheduling_knobs(self, tmp_path):
+        """Scheduling lives on the runner: the spec has no field for it,
+        and a cell run under any of it is filed under the plain hash."""
+        with pytest.raises(TypeError):
+            tiny_spec(workers=4)
+        spec = tiny_spec()
+        store = ResultStore(tmp_path / "store")
+        ScenarioRunner(store, workers=2, max_chunk_trials=1, trial_batch=2,
+                       search_workers=2).run(spec)
+        assert list(store.hashes()) == [spec.spec_hash()]
 
     def test_hash_ignores_search_scheduling_knobs(self):
-        """The async-search knobs name how a run was scheduled, not what
-        cell it computed — same contract as sweep_workers."""
-        base = tiny_spec()
-        assert tiny_spec(search_workers=4).spec_hash() == base.spec_hash()
-        assert tiny_spec(suggest_batch=2).spec_hash() == base.spec_hash()
-        config = ExperimentConfig(
-            epochs=1, train_samples=64, test_samples=32,
-            extra={"search_workers": 4, "suggest_batch": 2})
-        assert tiny_spec(train=config).spec_hash() == tiny_spec(
-            train=ExperimentConfig(epochs=1, train_samples=64,
-                                   test_samples=32)).spec_hash()
+        """``search_workers`` is the runner's and keys nothing; the BO
+        suggestion batch q changes what a search finds, so a config that
+        carries it keys every cell of the panel."""
+        from repro.experiments.fig3_classification import _cell_spec
 
-    def test_search_knobs_round_trip_in_dict_form(self):
-        spec = tiny_spec(search_workers=2, suggest_batch=3)
-        restored = ScenarioSpec.from_dict(spec.to_dict())
-        assert restored.search_workers == 2
-        assert restored.suggest_batch == 3
-        assert restored.spec_hash() == tiny_spec().spec_hash()
+        batched = ExperimentConfig.fast()
+        batched.extra["suggest_batch"] = 2
+        for label in ("ERM", "BayesFT"):
+            plain = _cell_spec("a_mlp_mnist", label, "mlp", "mnist",
+                               ExperimentConfig.fast(), 0,
+                               methods=("erm", "bayesft"))
+            keyed = _cell_spec("a_mlp_mnist", label, "mlp", "mnist",
+                               batched, 0, methods=("erm", "bayesft"))
+            assert keyed.spec_hash() != plain.spec_hash()
+
+    def test_grid_cell_hashes_match_the_golden(self):
+        for key, hashes in GRID_CELL_HASHES.items():
+            name, _, seed = key.partition("@")
+            cells = get_scenario(name).cells(seed=int(seed))
+            assert tuple(cell.spec_hash() for cell in cells) == hashes, key
+
+    def test_legacy_spec_json_drops_scheduling_fields(self):
+        spec = ScenarioSpec.from_dict(LEGACY_SPEC_JSON)
+        assert spec.to_dict() == tiny_spec().to_dict()
+        assert spec.spec_hash() == tiny_spec().spec_hash() == LEGACY_SPEC_HASH
 
     def test_hash_covers_result_determining_fields(self):
         base = tiny_spec()
@@ -165,6 +256,22 @@ class TestResultStore:
         second = ScenarioRunner(store).run(spec)
         assert not first.cached and second.cached
         assert second.report.means == first.report.means
+
+    def test_entry_with_legacy_spec_json_resumes_cached(self, tmp_path):
+        """A store filled while specs carried scheduling fields keeps
+        answering: same hash, cached, report.json bytes untouched."""
+        spec, store, _ = self._stored(tmp_path)
+        entry = store.path_for(spec)
+        assert entry.name == LEGACY_SPEC_HASH
+        (entry / "spec.json").write_text(
+            json.dumps(LEGACY_SPEC_JSON, sort_keys=True, indent=2) + "\n")
+        report_bytes = (entry / "report.json").read_bytes()
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.reindex() == {"entries": 1, "skipped": 0}
+        assert reopened.load_entry(LEGACY_SPEC_HASH)[0].to_dict() == \
+            spec.to_dict()
+        assert ScenarioRunner(reopened).run(spec).cached
+        assert (entry / "report.json").read_bytes() == report_bytes
 
     def test_corrupted_report_raises_labeled_error(self, tmp_path):
         spec, store, _ = self._stored(tmp_path)
@@ -319,6 +426,32 @@ class TestScenarioRunner:
         subset = _cell_spec("a_mlp_mnist", "ERM", "mlp", "mnist", config, 0,
                             methods=("erm",))
         assert full.spec_hash() != subset.spec_hash()
+
+    def test_fig3_store_keys_on_q_and_never_on_search_workers(self, tmp_path):
+        """Regression: a store filled at suggest_batch=2 answered a later
+        q=1 run with the q=2 curve.  For a fixed q (q=1 included) the
+        stored bytes are identical for any search_workers."""
+        from repro.experiments import run_classification_comparison
+
+        def run(q, search_workers, store):
+            config = ExperimentConfig(
+                epochs=2, train_samples=64, test_samples=32, bo_trials=4,
+                monte_carlo_samples=2, drift_trials=2, sigma_grid=(0.0, 1.0),
+                batch_size=32, learning_rate=0.1)
+            if q != 1:
+                config.extra["suggest_batch"] = q
+            runner = ScenarioRunner(store, search_workers=search_workers)
+            run_classification_comparison("a_mlp_mnist", config,
+                                          methods=("bayesft",), runner=runner)
+            (cell,) = runner.runs
+            return cell, (store.path_for(cell.spec) / "report.json").read_bytes()
+
+        for q in (1, 2):
+            stored = {k: run(q, k, ResultStore(tmp_path / f"q{q}-k{k}"))[1]
+                      for k in (0, 1, 2)}
+            assert stored[0] == stored[1] == stored[2], q
+        sequential, _ = run(1, 0, ResultStore(tmp_path / "q2-k0"))
+        assert not sequential.cached
 
     def test_scenario_registry_contents(self):
         names = available_scenarios()
@@ -590,11 +723,6 @@ class TestStoreGC:
 
 
 class TestSchedulingKnobInvariance:
-    def test_backend_knob_never_enters_the_hash(self):
-        base = tiny_spec()
-        assert tiny_spec(backend="shared_memory").spec_hash() == base.spec_hash()
-        assert tiny_spec(workers=4, backend="process").spec_hash() == base.spec_hash()
-
     def test_runner_backend_override_is_result_invariant(self, tmp_path):
         spec = tiny_spec(name="backend-invariant")
         serial = ScenarioRunner().run(spec)
